@@ -20,7 +20,7 @@ from .config import format_echo, resolve_config
 from .errors import FaimError, InputError
 from .metrics import accuracy_and_macro_f1
 from .model import FaimConfig, load_checkpoint
-from .training import TrainReport, evaluate, finetune, predict_dataset, pretrain
+from .training import TrainReport, dataset_meta, evaluate, finetune, predict_dataset, pretrain
 
 COMMANDS = ("pretrain", "finetune", "eval", "noise-bench", "ablate", "synth")
 
@@ -205,19 +205,10 @@ def _cmd_finetune(cfg: dict, out_dir: Path) -> None:
     model, report = finetune(
         dataset, model_cfg, init=init, checkpoint_path=str(out_dir / "checkpoint")
     )
-    _maybe_test_metrics(cfg, model, _meta_for(dataset, model_cfg), report)
+    _maybe_test_metrics(cfg, model, dataset_meta(dataset, model_cfg), report)
     report.summary["wall_seconds"] = f"{time.perf_counter() - started:.3f}"
     _write(out_dir / "report.csv", report.to_csv(include_timing=False))
     _write(out_dir / "summary", report.summary_text())
-
-
-def _meta_for(dataset: data_io.SeriesDataset, model_cfg: FaimConfig) -> dict:
-    return {
-        "label_map": dataset.label_map,
-        "norm_mean": None if dataset.norm_mean is None else list(dataset.norm_mean),
-        "norm_std": None if dataset.norm_std is None else list(dataset.norm_std),
-        "seed": model_cfg.seed,
-    }
 
 
 def _cmd_eval(cfg: dict, out_dir: Path) -> None:
@@ -266,7 +257,7 @@ def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
         if variant != "no_pretrain" and model_cfg.pretrain_epochs > 0:
             init, _ = pretrain(dataset, model_cfg)
         model, _ = finetune(dataset, model_cfg, init=init)
-        test = _load_test_like(cfg, _meta_for(dataset, model_cfg))
+        test = _load_test_like(cfg, dataset_meta(dataset, model_cfg))
         _, acc, f1 = evaluate(model, test, cfg["train.batch_size"])
         label = VARIANT_LABELS.get(variant, variant)
         lines.append(f"{variant},{label},{repr(acc)},{repr(f1)}")

@@ -392,24 +392,39 @@ def save_checkpoint(model: FaimModel, path: str, meta: dict | None = None) -> No
 
 
 def load_checkpoint(path: str) -> tuple[FaimModel, dict]:
+    """Rebuild a model from a checkpoint; a damaged file raises InputError naming it."""
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise InputError(f"{path} is not a model checkpoint (bad magic)")
-        header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len).decode())
-        blob = fh.read()
-    config = FaimConfig(**header["config"])
-    model = build_model(config, header["n_classes"], header["n_channels"], header["series_len"])
-    values = np.frombuffer(blob, dtype=np.float64)
+        raw = fh.read()
+    if raw[: len(MAGIC)] != MAGIC:
+        raise InputError(f"{path} is not a model checkpoint (bad magic)")
+    header_start = len(MAGIC) + 8
+    blob_start = header_start + int.from_bytes(raw[len(MAGIC) : header_start], "little")
+    if blob_start > len(raw):
+        raise InputError(f"{path} is truncated: its header ends at byte {blob_start} of {len(raw)}")
+    try:
+        header = json.loads(raw[header_start:blob_start].decode())
+        config = FaimConfig(**header["config"])
+        geometry = (header["n_classes"], header["n_channels"], header["series_len"])
+        manifest = [(e["name"], tuple(e["shape"]), int(e["offset"])) for e in header["params"]]
+        meta = header["meta"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path} has an unreadable header: {type(exc).__name__}: {exc}") from exc
+    model = build_model(config, *geometry)
     by_name = dict(model.named_parameters())
-    if set(by_name) != {entry["name"] for entry in header["params"]}:
+    if set(by_name) != {name for name, _, _ in manifest}:
         raise InputError(f"{path} parameter manifest does not match the rebuilt model")
-    for entry in header["params"]:
-        tensor = by_name[entry["name"]]
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        chunk = values[entry["offset"] : entry["offset"] + size].reshape(shape)
-        if chunk.shape != tensor.data.shape:
-            raise ShapeError(f"checkpoint shape {chunk.shape} for {entry['name']} mismatches {tensor.data.shape}")
+    n_values = sum(tensor.data.size for tensor in by_name.values())
+    if len(raw) - blob_start != 8 * n_values:
+        raise InputError(
+            f"{path} holds {len(raw) - blob_start} parameter bytes; its manifest needs {8 * n_values}"
+        )
+    values = np.frombuffer(raw, dtype=np.float64, offset=blob_start)
+    for name, shape, offset in manifest:
+        tensor = by_name[name]
+        if shape != tensor.data.shape:
+            raise ShapeError(f"checkpoint shape {shape} for {name} mismatches {tensor.data.shape}")
+        if not 0 <= offset <= n_values - tensor.data.size:
+            raise InputError(f"{path} places {name} outside its parameter blob")
+        chunk = values[offset : offset + tensor.data.size].reshape(shape)
         tensor.data = chunk.copy()
-    return model, header["meta"]
+    return model, meta

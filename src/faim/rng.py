@@ -79,10 +79,6 @@ class CounterRng:
         keys = self._next_block(n)
         return np.argsort(keys, kind="stable")
 
-    def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
-        """First k entries of a random permutation of range(n)."""
-        return self.permutation(n)[:k]
-
     def spawn(self, *tags: int | str) -> "CounterRng":
         """Independent substream derived from this seed plus tags."""
         return CounterRng(derive_seed(int(self.seed), *tags))

@@ -263,7 +263,7 @@ def pretrain(
     report.summary["best_loss"] = repr(best_loss)
     report.summary["epochs"] = config.pretrain_epochs
     if checkpoint_path is not None:
-        save_checkpoint(model, checkpoint_path, _dataset_meta(dataset, config))
+        save_checkpoint(model, checkpoint_path, dataset_meta(dataset, config))
     return model, report
 
 
@@ -322,11 +322,12 @@ def finetune(
     report.summary["best_epoch"] = best_epoch
     report.summary["epochs"] = config.finetune_epochs
     if checkpoint_path is not None:
-        save_checkpoint(model, checkpoint_path, _dataset_meta(dataset, config))
+        save_checkpoint(model, checkpoint_path, dataset_meta(dataset, config))
     return model, report
 
 
-def _dataset_meta(dataset: SeriesDataset, config: FaimConfig) -> dict:
+def dataset_meta(dataset: SeriesDataset, config: FaimConfig) -> dict:
+    """Checkpoint metadata: label map, normalisation statistics and seed."""
     return {
         "label_map": dataset.label_map,
         "norm_mean": None if dataset.norm_mean is None else list(dataset.norm_mean),

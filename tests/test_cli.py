@@ -6,7 +6,7 @@ import pytest
 from faim.cli import main, model_config_from
 from faim.config import format_echo, parse_config_file, resolve_config
 from faim.errors import ConfigError
-from faim.model import load_checkpoint
+from faim.model import FaimConfig, build_model, load_checkpoint, save_checkpoint
 
 SMALL = [
     "--model.patch_len", "4",
@@ -144,6 +144,19 @@ class TestExitCodes:
         rc = main(["eval", "--run.dir", str(tmp_path), "--run.name", "e"])
         assert rc == 1
         assert "eval needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keep", [10, 40, -8])
+    def test_truncated_checkpoint_is_an_input_error(self, tmp_path, capsys, keep):
+        # cut inside the length prefix, inside the JSON header, inside the blob
+        path = tmp_path / "model.ckpt"
+        model = build_model(FaimConfig(patch_len=4, embed_dim=8, n_layers=1, ssm_state=4), 2, 1, 16)
+        save_checkpoint(model, str(path))
+        path.write_bytes(path.read_bytes()[:keep])
+        rc = main(["eval", "--run.dir", str(tmp_path), "--run.name", "e",
+                   "--eval.checkpoint", str(path), "--data.test", str(tmp_path / "test.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "internal error" not in err
 
     def test_lockfile_contention(self, tmp_path, capsys):
         out = tmp_path / "locked"

@@ -1,6 +1,7 @@
 """Selective scan and the interactive dual-branch block."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,14 +146,12 @@ class TestSsmScan:
             with Tape():
                 ssm_scan(params, Tensor(np.zeros((2, 2, 6, 3))))
 
-    def test_gradients_pass_finite_differences(self):
-        params = self._params(dim=2, state=3, seed=6)
-        # larger step sizes keep the per-mode gradients off the rounding floor
-        params.delta_bias.data[:] = 0.5
-        x0 = np.random.default_rng(6).normal(size=(5, 2))
+    def _assert_gradients(self, params, x0, scale):
+        """x and all five SsmParams fields against central differences;
+        ``scale`` multiplies the output to keep the loss off the rounding floor."""
 
         def loss_with(p, x):
-            y = ssm_scan(p, x)
+            y = mul(ssm_scan(p, x), Tensor(np.full(x0.shape, scale)))
             return tsum(mul(y, y))
 
         assert finite_diff_check(lambda x: loss_with(params, x), Tensor(x0.copy())) < 1e-4
@@ -163,6 +162,43 @@ class TestSsmScan:
 
             t0 = Tensor(getattr(params, field).data.copy())
             assert finite_diff_check(f, t0) < 1e-4, field
+
+    def test_gradients_pass_finite_differences(self):
+        params = self._params(dim=2, state=3, seed=6)
+        # larger step sizes keep the per-mode gradients off the rounding floor
+        params.delta_bias.data[:] = 0.5
+        self._assert_gradients(params, np.random.default_rng(6).normal(size=(5, 2)), 1.0)
+
+    def test_gradients_across_the_small_step_series(self):
+        params = self._params(dim=2, state=3, seed=6)
+        # tiny steps put u = Δ·A on both sides of the backward series
+        # threshold |u| = 1e-4
+        params.delta_bias.data[:] = -10.5
+        x0 = np.random.default_rng(6).normal(size=(5, 2))
+        delta = np_softplus(x0 @ params.w_delta.data + params.delta_bias.data)
+        u = np.abs(delta[..., None] * np.exp(params.a_log.data))
+        assert np.any(u < 1e-4) and np.any(u >= 1e-4)
+        self._assert_gradients(params, x0, 1e4)
+
+    def test_tape_free_matches_taped(self):
+        params = self._params(seed=7)
+        x = np.random.default_rng(7).normal(size=(4, 8, 3))
+        free = ssm_scan(params, Tensor(x))
+        with Tape():
+            taped = ssm_scan(params, Tensor(x))
+        np.testing.assert_allclose(free.data, taped.data, rtol=0.0, atol=1e-12)
+
+    def test_tape_free_keeps_no_full_state_array(self):
+        # a [B, Z, D, N] float64 array here is 384*16*64*16*8 bytes, about 50 MB
+        params = init_ssm_params(64, 16, CounterRng(8))
+        x = Tensor(np.random.default_rng(8).normal(size=(384, 16, 64)))
+        tracemalloc.start()
+        try:
+            ssm_scan(params, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 384 * 16 * 64 * 16 * 8, peak
 
 
 class TestImbBranch:

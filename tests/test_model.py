@@ -158,6 +158,14 @@ class TestForward:
             single, _ = faim_forward(batch[i], model)
             np.testing.assert_allclose(logits.data[i], single.data, atol=1e-10)
 
+    def test_tape_free_forward_matches_taped(self):
+        model = build_model(tiny_config(seed=2), 3, 2, 16)
+        batch = np.random.default_rng(6).normal(size=(4, 2, 16))
+        free, _ = classify_batch(model, batch)
+        with Tape():
+            taped, _ = classify_batch(model, batch)
+        np.testing.assert_allclose(free.data, taped.data, rtol=0.0, atol=1e-12)
+
     def test_deterministic_rebuild_and_forward(self):
         x = np.random.default_rng(5).normal(size=(2, 16))
         outs = []
