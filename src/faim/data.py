@@ -100,6 +100,10 @@ def load_univariate(path: str) -> SeriesDataset:
                 raise InputError(
                     f"{path} line {line_no}, column {col}: {tok!r} is not numeric"
                 ) from None
+        finite = np.isfinite(values)
+        if not finite.all():
+            col = int(np.argmin(finite)) + 2
+            raise InputError(f"{path} line {line_no}, column {col}: {tokens[col - 1]!r} is not finite")
         rows.append(values)
     t_max = max(row.shape[0] for row in rows)
     if any(row.shape[0] != t_max for row in rows):
@@ -133,13 +137,28 @@ def load_multivariate(path: str) -> SeriesDataset:
             if "label" not in record or "series" not in record:
                 raise InputError(f"{path} record {rec_no}: needs 'label' and 'series' fields")
             channels = record["series"]
+            if not isinstance(channels, list) or not all(isinstance(ch, list) for ch in channels):
+                raise InputError(f"{path} record {rec_no}: 'series' must be a list of per-channel lists")
             lengths = {len(ch) for ch in channels}
             if len(lengths) > 1:
                 raise InputError(
                     f"{path} record {rec_no}: channels have unequal lengths {sorted(lengths)}"
                 )
+            if lengths in (set(), {0}):
+                raise InputError(f"{path} record {rec_no}: 'series' holds no values")
+            try:
+                series = np.asarray(channels, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise InputError(f"{path} record {rec_no}, {_non_numeric(channels)}") from None
+            finite = np.isfinite(series)
+            if not finite.all():
+                channel, index = np.argwhere(~finite)[0]
+                raise InputError(
+                    f"{path} record {rec_no}, channel {channel}, index {index}: "
+                    f"{float(series[channel, index])!r} is not finite"
+                )
             raw_labels.append(str(record["label"]))
-            series_list.append(np.asarray(channels, dtype=np.float64))
+            series_list.append(series)
     if not series_list:
         raise InputError(f"{path} contains no samples")
     n_channels = series_list[0].shape[0]
@@ -153,6 +172,17 @@ def load_multivariate(path: str) -> SeriesDataset:
     labels, mapping = _remap_labels(raw_labels)
     samples = list(zip(series_list, labels))
     return SeriesDataset(samples, len(mapping), n_channels, t_max, mapping)
+
+
+def _non_numeric(channels) -> str:
+    """Where a record's series first holds a value float64 cannot take."""
+    for channel, values in enumerate(channels):
+        for index, value in enumerate(values):
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                return f"channel {channel}, index {index}: {value!r} is not numeric"
+    return "series: a value is not numeric"
 
 
 def save_multivariate(dataset: SeriesDataset, path: str) -> None:

@@ -9,8 +9,10 @@ features pool by mean over tokens and channels before the class head.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -384,11 +386,23 @@ def save_checkpoint(model: FaimModel, path: str, meta: dict | None = None) -> No
         "params": manifest,
     }
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(len(encoded).to_bytes(8, "little"))
-        fh.write(encoded)
-        fh.write(blob.getvalue())
+    write_atomic(path, MAGIC + len(encoded).to_bytes(8, "little") + encoded + blob.getvalue())
+
+
+def write_atomic(path, payload: bytes) -> None:
+    """Write ``payload`` to a temporary file beside ``path``, then rename it
+    over ``path``: a write that fails leaves any previous file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> tuple[FaimModel, dict]:

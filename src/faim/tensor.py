@@ -359,8 +359,15 @@ def tsin(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    """1/(1 + z) for x >= 0 and z/(1 + z) below, z = exp(-|x|): the
+    numerator is selected first, so there is one division."""
+    z = np.abs(x, out=np.empty(np.shape(x)))
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    s = np.where(x >= 0, 1.0, z)
+    z += 1.0
+    s /= z
+    return s
 
 
 def sigmoid(a: Tensor) -> Tensor:

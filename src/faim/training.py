@@ -180,29 +180,48 @@ class TrainReport:
 # ---------------------------------------------------------------------------
 
 
+# Byte budget of one row block in a tape-free forward, sized to stay in a
+# typical L2 cache: a sample costs 16 bytes per (channel, patch, dim), the
+# complex128 spectrum of its tokens.  Larger blocks stream every op of the
+# forward through main memory; blocks of one or two samples pay per-op
+# overhead instead.
+ROW_BLOCK_BYTES = 2**20
+
+
+def row_block(model: FaimModel) -> int:
+    """Samples per tape-free forward that keep the working set cache-sized."""
+    per_sample = model.n_channels * model.n_patches * model.config.embed_dim * 16
+    return max(1, ROW_BLOCK_BYTES // per_sample)
+
+
+def _logits(model: FaimModel, x: np.ndarray, batch_size: int) -> np.ndarray:
+    """Logits of every sample, from forwards over blocks of at most
+    ``min(batch_size, row_block(model))`` samples."""
+    step = min(batch_size, row_block(model))
+    return np.concatenate(
+        [classify_batch(model, x[start : start + step])[0].data for start in range(0, len(x), step)]
+    )
+
+
 def predict_dataset(model: FaimModel, dataset: SeriesDataset, batch_size: int = 256) -> np.ndarray:
+    """Predicted class per sample.  ``batch_size`` bounds the rows of one
+    forward from above; the forward runs over smaller cache-sized blocks
+    when the model geometry calls for them."""
     x, _ = dataset.arrays()
-    preds = []
-    for start in range(0, len(x), batch_size):
-        logits, _ = classify_batch(model, x[start : start + batch_size])
-        preds.append(np.argmax(logits.data, axis=-1))
-    return np.concatenate(preds)
+    return np.argmax(_logits(model, x, batch_size), axis=-1)
 
 
 def evaluate(model: FaimModel, dataset: SeriesDataset, batch_size: int = 256):
-    """(mean CE loss, accuracy, macro F1) on a dataset, no gradients."""
+    """(mean CE loss, accuracy, macro F1) on a dataset, no gradients.
+
+    ``batch_size`` bounds the rows of one forward from above, as in
+    ``predict_dataset``; memory is bounded by the row block, not by it.
+    """
     x, y = dataset.arrays()
-    losses = []
-    preds = []
-    for start in range(0, len(x), batch_size):
-        xb, yb = x[start : start + batch_size], y[start : start + batch_size]
-        logits, _ = classify_batch(model, xb)
-        loss = batch_label_smoothed_ce(logits, yb, model.config.label_smooth_eps)
-        losses.append(loss.item() * len(xb))
-        preds.append(np.argmax(logits.data, axis=-1))
-    preds = np.concatenate(preds)
-    accuracy, macro_f1 = accuracy_and_macro_f1(preds, y, dataset.n_classes)
-    return float(np.sum(losses) / len(x)), accuracy, macro_f1
+    logits = _logits(model, x, batch_size)
+    loss = batch_label_smoothed_ce(Tensor(logits), y, model.config.label_smooth_eps)
+    accuracy, macro_f1 = accuracy_and_macro_f1(np.argmax(logits, axis=-1), y, dataset.n_classes)
+    return loss.item(), accuracy, macro_f1
 
 
 def _snapshot(model: FaimModel) -> list[np.ndarray]:

@@ -1,9 +1,12 @@
 """Config resolution, exit codes, artifacts, and rerun determinism."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
-from faim.cli import main, model_config_from
+from faim.cli import _write, main, model_config_from
 from faim.config import format_echo, parse_config_file, resolve_config
 from faim.errors import ConfigError
 from faim.model import FaimConfig, build_model, load_checkpoint, save_checkpoint
@@ -157,6 +160,52 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(path) in err and "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "name, text, fmt, where",
+        [
+            ("u.tsv", "0\t1.0\t2.0\n1\t3.0\tInfinity\n", "univariate", "line 2, column 3: 'Infinity' is not finite"),
+            (
+                "m.jsonl",
+                '{"label": "a", "series": [[1.0, 2.0]]}\n{"label": "b", "series": [[3.0, NaN]]}\n',
+                "multivariate",
+                "record 2, channel 0, index 1: nan is not finite",
+            ),
+            (
+                "m.jsonl",
+                '{"label": "a", "series": [[1.0, 2.0], [3.0, 4.0]]}\n{"label": "b", "series": [[1.0, 2.0], [3.0, "x"]]}\n',
+                "multivariate",
+                "record 2, channel 1, index 1: 'x' is not numeric",
+            ),
+        ],
+        ids=["tsv-infinity", "jsonl-nan", "jsonl-string"],
+    )
+    def test_bad_values_in_data_are_input_errors(self, tmp_path, capsys, name, text, fmt, where):
+        path = tmp_path / name
+        path.write_text(text)
+        rc = main(["finetune", "--run.dir", str(tmp_path), "--run.name", "f",
+                   "--data.train", str(path), "--data.format", fmt])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{path} {where}" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("writer", ["checkpoint", "artifact"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out"
+        path.write_bytes(b"previous contents")
+        model = build_model(FaimConfig(patch_len=4, embed_dim=8, n_layers=1, ssm_state=4), 2, 1, 16)
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            if writer == "checkpoint":
+                save_checkpoint(model, str(path))
+            else:
+                _write(path, "new contents\n")
+        assert path.read_bytes() == b"previous contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     def test_lockfile_contention(self, tmp_path, capsys):
         out = tmp_path / "locked"

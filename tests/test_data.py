@@ -134,6 +134,12 @@ class TestLoadMultivariate:
         with pytest.raises(InputError, match="record 2: invalid JSON"):
             load_multivariate(path)
 
+    @pytest.mark.parametrize("series", ["[]", "[[]]", "[1.0, 2.0]", '"abc"'])
+    def test_series_without_per_channel_values_rejected(self, tmp_path, series):
+        path = self._write(tmp_path, ['{"label": "a", "series": %s}' % series])
+        with pytest.raises(InputError, match="record 1: 'series'"):
+            load_multivariate(path)
+
     def test_missing_fields_rejected(self, tmp_path):
         path = self._write(tmp_path, ['{"label": "a"}'])
         with pytest.raises(InputError, match="record 1: needs 'label' and 'series'"):

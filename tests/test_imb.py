@@ -188,6 +188,20 @@ class TestSsmScan:
             taped = ssm_scan(params, Tensor(x))
         np.testing.assert_allclose(free.data, taped.data, rtol=0.0, atol=1e-12)
 
+    def test_tape_free_matches_taped_at_small_steps(self):
+        # |u| = |Δ·A| between about 2e-5 and 7e-4, where the taped forward's
+        # phi = expm1(u)/u and the tape-free expm1(u)·x·B/A drive part most
+        params = self._params(dim=2, state=3, seed=6)
+        params.delta_bias.data[:] = -10.5
+        x = np.random.default_rng(6).normal(size=(5, 2))
+        delta = np_softplus(x @ params.w_delta.data + params.delta_bias.data)
+        u = delta[..., None] * np.exp(params.a_log.data)
+        assert 2e-5 < u.min() and u.max() < 1e-3
+        free = ssm_scan(params, Tensor(x))
+        with Tape():
+            taped = ssm_scan(params, Tensor(x))
+        np.testing.assert_allclose(free.data, taped.data, rtol=0.0, atol=1e-12)
+
     def test_tape_free_keeps_no_full_state_array(self):
         # a [B, Z, D, N] float64 array here is 384*16*64*16*8 bytes, about 50 MB
         params = init_ssm_params(64, 16, CounterRng(8))

@@ -204,6 +204,16 @@ class TestPrimitiveGradients:
         np.testing.assert_array_equal(grads[y], [[1.0, 2.0]] * 3)
 
 
+class TestSigmoidValues:
+    def test_bitwise_equal_to_the_two_branch_formula(self):
+        x = np.concatenate(
+            [[0.0, -0.0, 800.0, -800.0, np.inf, -np.inf], np.random.default_rng(3).normal(scale=20.0, size=2000)]
+        )
+        z = np.exp(-np.abs(x))
+        reference = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        np.testing.assert_array_equal(sigmoid(Tensor(x)).data.view(np.int64), reference.view(np.int64))
+
+
 class TestComplexConvention:
     """Gradients of complex tensors are packed dL/dRe + 1j * dL/dIm."""
 

@@ -1,14 +1,15 @@
 """Masking, losses, reports, and the two-stage training procedure."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from faim.data import SeriesDataset, make_synthetic_freq_dataset
+from faim.data import SeriesDataset, make_synthetic_freq_dataset, make_synthetic_motion_dataset
 from faim.errors import InputError, ShapeError
 from faim.metrics import accuracy_and_macro_f1
-from faim.model import FaimConfig, build_model, load_checkpoint
+from faim.model import FaimConfig, build_model, classify_batch, load_checkpoint
 from faim.tensor import Tape, Tensor, backward, parameter
 from faim.training import (
     REPORT_COLUMNS,
@@ -21,6 +22,7 @@ from faim.training import (
     masked_mse,
     predict_dataset,
     pretrain,
+    row_block,
     smooth_targets,
 )
 
@@ -351,3 +353,40 @@ class TestEvaluate:
         chunked = evaluate(model, ds, batch_size=3)
         np.testing.assert_allclose(full[0], chunked[0], atol=1e-12)
         assert full[1:] == chunked[1:]
+
+
+@pytest.fixture(scope="module")
+def motion_model_and_set():
+    """Default geometry on 6-channel data, with more samples than one row block."""
+    ds = make_synthetic_motion_dataset(6, n_channels=6, t=128, n_classes=4, snr_sigma=0.5, seed=0)
+    model = build_model(FaimConfig(), ds.n_classes, ds.n_channels, ds.series_len)
+    assert row_block(model) < len(ds)
+    return model, ds
+
+
+class TestRowBlocks:
+    def test_blocked_results_match_one_forward(self, motion_model_and_set):
+        model, ds = motion_model_and_set
+        x, y = ds.arrays()
+        logits, _ = classify_batch(model, x)
+        preds = np.argmax(logits.data, axis=-1)
+        loss = batch_label_smoothed_ce(logits, y, model.config.label_smooth_eps).item()
+        acc, f1 = accuracy_and_macro_f1(preds, y, ds.n_classes)
+        got = evaluate(model, ds, batch_size=256)
+        assert abs(got[0] - loss) < 1e-12
+        assert got[1:] == (acc, f1)
+        np.testing.assert_array_equal(predict_dataset(model, ds, batch_size=256), preds)
+
+    def test_memory_is_bounded_by_the_row_block(self, motion_model_and_set):
+        model, ds = motion_model_and_set
+
+        def peak(batch_size):
+            tracemalloc.start()
+            try:
+                evaluate(model, ds, batch_size)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        at_block = peak(row_block(model))
+        assert peak(256) < 1.1 * at_block
