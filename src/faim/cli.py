@@ -19,7 +19,7 @@ from . import data as data_io
 from .config import format_echo, resolve_config
 from .errors import FaimError, InputError
 from .metrics import accuracy_and_macro_f1
-from .model import FaimConfig, load_checkpoint, write_atomic
+from .model import FaimConfig, load_checkpoint
 from .training import TrainReport, dataset_meta, evaluate, finetune, predict_dataset, pretrain
 
 COMMANDS = ("pretrain", "finetune", "eval", "noise-bench", "ablate", "synth")
@@ -107,7 +107,7 @@ def _load_test_like(cfg: dict, meta: dict) -> data_io.SeriesDataset:
 
 
 def _write(path: Path, text: str) -> None:
-    write_atomic(path, text.encode())
+    data_io.write_atomic(path, text.encode())
 
 
 class _RunDirectory:

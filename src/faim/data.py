@@ -14,7 +14,9 @@ same rule patchify uses, so padding never injects step discontinuities.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -114,12 +116,29 @@ def load_univariate(path: str) -> SeriesDataset:
     return SeriesDataset(samples, len(mapping), 1, t_max, mapping)
 
 
+def write_atomic(path, payload: bytes) -> None:
+    """Write ``payload`` to a temporary file beside ``path``, then rename it
+    over ``path``: a write that fails leaves any previous file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_univariate(dataset: SeriesDataset, path: str, delimiter: str = "\t") -> None:
     inverse = {v: k for k, v in dataset.label_map.items()}
-    with open(path, "w") as fh:
-        for series, label in dataset.samples:
-            values = delimiter.join(repr(float(v)) for v in series[0])
-            fh.write(f"{inverse.get(label, label)}{delimiter}{values}\n")
+    lines = []
+    for series, label in dataset.samples:
+        values = delimiter.join(repr(float(v)) for v in series[0])
+        lines.append(f"{inverse.get(label, label)}{delimiter}{values}\n")
+    write_atomic(path, "".join(lines).encode())
 
 
 def load_multivariate(path: str) -> SeriesDataset:
@@ -153,10 +172,11 @@ def load_multivariate(path: str) -> SeriesDataset:
             finite = np.isfinite(series)
             if not finite.all():
                 channel, index = np.argwhere(~finite)[0]
-                raise InputError(
-                    f"{path} record {rec_no}, channel {channel}, index {index}: "
-                    f"{float(series[channel, index])!r} is not finite"
-                )
+                if channels[channel][index] is None:
+                    problem = "missing value (null)"
+                else:
+                    problem = f"{float(series[channel, index])!r} is not finite"
+                raise InputError(f"{path} record {rec_no}, channel {channel}, index {index}: {problem}")
             raw_labels.append(str(record["label"]))
             series_list.append(series)
     if not series_list:
@@ -187,13 +207,14 @@ def _non_numeric(channels) -> str:
 
 def save_multivariate(dataset: SeriesDataset, path: str) -> None:
     inverse = {v: k for k, v in dataset.label_map.items()}
-    with open(path, "w") as fh:
-        for series, label in dataset.samples:
-            record = {
-                "label": inverse.get(label, str(label)),
-                "series": [[float(v) for v in channel] for channel in series],
-            }
-            fh.write(json.dumps(record) + "\n")
+    lines = []
+    for series, label in dataset.samples:
+        record = {
+            "label": inverse.get(label, str(label)),
+            "series": [[float(v) for v in channel] for channel in series],
+        }
+        lines.append(json.dumps(record) + "\n")
+    write_atomic(path, "".join(lines).encode())
 
 
 # ---------------------------------------------------------------------------

@@ -20,3 +20,7 @@ class InputError(FaimError):
 
 class ConfigError(FaimError):
     """Bad configuration: unknown keys, out-of-range values, geometry overflow."""
+
+
+class NonFiniteError(FaimError):
+    """Training produced a non-finite loss or parameter."""

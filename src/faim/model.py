@@ -9,15 +9,14 @@ features pool by mean over tokens and channels before the class head.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .afb import AfbParams, LayerActivations, afb_forward, init_afb_params
+from .data import write_atomic
 from .errors import ConfigError, InputError, ShapeError
 from .imb import ImbParams, imb_forward, init_imb_params
 from .nn import layer_norm, linear
@@ -387,22 +386,6 @@ def save_checkpoint(model: FaimModel, path: str, meta: dict | None = None) -> No
     }
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     write_atomic(path, MAGIC + len(encoded).to_bytes(8, "little") + encoded + blob.getvalue())
-
-
-def write_atomic(path, payload: bytes) -> None:
-    """Write ``payload`` to a temporary file beside ``path``, then rename it
-    over ``path``: a write that fails leaves any previous file as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
 
 
 def load_checkpoint(path: str) -> tuple[FaimModel, dict]:

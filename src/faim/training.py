@@ -8,14 +8,16 @@ stages are deterministic functions of (dataset, config.seed).
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import imb
 from .data import SeriesDataset, split_dataset
-from .errors import InputError, ShapeError
+from .errors import InputError, NonFiniteError, ShapeError
 from .metrics import accuracy_and_macro_f1
 from .model import (
     FaimConfig,
@@ -180,18 +182,12 @@ class TrainReport:
 # ---------------------------------------------------------------------------
 
 
-# Byte budget of one row block in a tape-free forward, sized to stay in a
-# typical L2 cache: a sample costs 16 bytes per (channel, patch, dim), the
-# complex128 spectrum of its tokens.  Larger blocks stream every op of the
-# forward through main memory; blocks of one or two samples pay per-op
-# overhead instead.
-ROW_BLOCK_BYTES = 2**20
-
-
 def row_block(model: FaimModel) -> int:
-    """Samples per tape-free forward that keep the working set cache-sized."""
+    """Samples per tape-free forward that keep the working set cache-sized:
+    a sample costs 16 bytes per (channel, patch, dim), the complex128
+    spectrum of its tokens, against ``imb.ROW_BLOCK_BYTES``."""
     per_sample = model.n_channels * model.n_patches * model.config.embed_dim * 16
-    return max(1, ROW_BLOCK_BYTES // per_sample)
+    return max(1, imb.ROW_BLOCK_BYTES // per_sample)
 
 
 def _logits(model: FaimModel, x: np.ndarray, batch_size: int) -> np.ndarray:
@@ -237,6 +233,20 @@ def _grad_list(model: FaimModel, grads: dict) -> list:
     return [grads.get(t) for t in model.parameters()]
 
 
+def _check_loss(loss: float, stage: str, epoch: int, step: int) -> None:
+    if not math.isfinite(loss):
+        raise NonFiniteError(f"{stage} epoch {epoch} step {step}: the training loss is {loss!r}")
+
+
+def _check_parameters(model: FaimModel, stage: str, epoch: int, step: int) -> None:
+    """Raise if any parameter holds a non-finite value after ``step``."""
+    for name, tensor in model.named_parameters():
+        if not np.isfinite(tensor.data).all():
+            raise NonFiniteError(
+                f"{stage} epoch {epoch} step {step}: parameter {name} holds a non-finite value"
+            )
+
+
 # ---------------------------------------------------------------------------
 # training stages
 # ---------------------------------------------------------------------------
@@ -245,7 +255,11 @@ def _grad_list(model: FaimModel, grads: dict) -> list:
 def pretrain(
     dataset: SeriesDataset, config: FaimConfig, checkpoint_path: str | None = None
 ) -> tuple[FaimModel, TrainReport]:
-    """Masked-reconstruction stage; returns the best-loss parameter state."""
+    """Masked-reconstruction stage; returns the best-loss parameter state.
+
+    A non-finite step loss, or a parameter left non-finite at the end of an
+    epoch, raises NonFiniteError before any checkpoint is written.
+    """
     if len(dataset) == 0:
         raise InputError("cannot pretrain on an empty dataset")
     x, _ = dataset.arrays()
@@ -269,9 +283,11 @@ def pretrain(
             with Tape() as tape:
                 recon = reconstruct_forward(xb, plan.lam, model)
                 loss = masked_mse(reference_patches(xb, model), recon, plan.lam)
+            _check_loss(loss.item(), "pretrain", epoch, step + 1)
             grads = backward(tape, loss)
             adamw_step(model.parameters(), _grad_list(model, grads), opt)
             epoch_loss += loss.item() * len(xb)
+        _check_parameters(model, "pretrain", epoch, step + 1)
         epoch_loss /= len(x)
         if epoch_loss < best_loss:
             best_loss = epoch_loss
@@ -293,7 +309,10 @@ def finetune(
     val_dataset: SeriesDataset | None = None,
     checkpoint_path: str | None = None,
 ) -> tuple[FaimModel, TrainReport]:
-    """Supervised stage; returns the best-validation-accuracy state."""
+    """Supervised stage; returns the best-validation-accuracy state.
+
+    Non-finite losses and parameters raise NonFiniteError, as in ``pretrain``.
+    """
     if len(dataset) == 0:
         raise InputError("cannot finetune on an empty dataset")
     _, labels = dataset.arrays()
@@ -318,14 +337,16 @@ def finetune(
         started = time.perf_counter()
         order = shuffle_rng.permutation(len(x))
         epoch_loss = 0.0
-        for start in range(0, len(x), config.batch_size):
+        for step, start in enumerate(range(0, len(x), config.batch_size)):
             idx = order[start : start + config.batch_size]
             with Tape() as tape:
                 logits, _ = classify_batch(model, x[idx])
                 loss = batch_label_smoothed_ce(logits, y[idx], config.label_smooth_eps)
+            _check_loss(loss.item(), "finetune", epoch, step + 1)
             grads = backward(tape, loss)
             adamw_step(model.parameters(), _grad_list(model, grads), opt)
             epoch_loss += loss.item() * len(idx)
+        _check_parameters(model, "finetune", epoch, step + 1)
         epoch_loss /= len(x)
         seconds = time.perf_counter() - started
         val_loss, val_acc, val_f1 = evaluate(model, val_set, config.batch_size)

@@ -207,6 +207,21 @@ class TestExitCodes:
         assert path.read_bytes() == b"previous contents"
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
+    def test_non_finite_training_exits_1_before_writing_results(self, tmp_path, capsys):
+        assert main(synth_args(tmp_path, "synth")) == 0
+        model = build_model(FaimConfig(patch_len=4, embed_dim=8, n_layers=1, ssm_state=4), 2, 1, 16)
+        dict(model.named_parameters())["cls.w"].data[0] = np.nan
+        init = str(tmp_path / "nan.ckpt")
+        save_checkpoint(model, init)
+        capsys.readouterr()
+        rc = main(["finetune", "--run.dir", str(tmp_path), "--run.name", "f",
+                   "--data.train", str(tmp_path / "synth" / "train.tsv"),
+                   "--finetune.init", init, *SMALL])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "finetune epoch 1 step 1: the training loss is nan" in err
+        assert not {"checkpoint", "report.csv", "summary"} & {p.name for p in (tmp_path / "f").iterdir()}
+
     def test_lockfile_contention(self, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()

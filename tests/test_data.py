@@ -1,5 +1,8 @@
 """Dataset loading, normalization, synthetic corpora, noise, and splits."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,15 @@ class TestLoadMultivariate:
         with pytest.raises(InputError, match="record 1: 'series'"):
             load_multivariate(path)
 
+    def test_null_value_reported_as_missing(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            ['{"label": "a", "series": [[1.0, 2.0], [3.0, 4.0]]}',
+             '{"label": "b", "series": [[1.0, 2.0], [3.0, null]]}'],
+        )
+        with pytest.raises(InputError, match=r"record 2, channel 1, index 1: missing value \(null\)"):
+            load_multivariate(path)
+
     def test_missing_fields_rejected(self, tmp_path):
         path = self._write(tmp_path, ['{"label": "a"}'])
         with pytest.raises(InputError, match="record 1: needs 'label' and 'series'"):
@@ -181,6 +193,20 @@ class TestSaveLoadRoundTrips:
         for (xa, ya), (xb, yb) in zip(ds.samples, back.samples):
             assert ya == yb
             assert xa.tobytes() == xb.tobytes()
+
+    @pytest.mark.parametrize("save", [save_univariate, save_multivariate])
+    def test_failed_write_keeps_the_previous_corpus(self, tmp_path, monkeypatch, save):
+        path = tmp_path / "corpus"
+        path.write_bytes(b"previous corpus\n")
+
+        def disk_full(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", disk_full)
+        with pytest.raises(OSError, match="No space left"):
+            save(make_synthetic_motion_dataset(2, 1, 8, 2, 0.2, seed=1), str(path))
+        assert path.read_bytes() == b"previous corpus\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
 
 
 class TestZnormalize:

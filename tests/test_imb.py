@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from faim import imb
 from faim.errors import ShapeError
 from faim.gradcheck import finite_diff_check
 from faim.imb import (
     ImbParams,
+    _scan_primitive,
     discretize,
     imb_branch,
     imb_forward,
@@ -19,7 +21,7 @@ from faim.imb import (
 )
 from faim.nn import causal_conv1d, layer_norm, linear
 from faim.rng import CounterRng
-from faim.tensor import Tape, Tensor, mul, silu, tsum
+from faim.tensor import Tape, Tensor, backward, mul, parameter, silu, tsum
 
 
 def np_softplus(v):
@@ -213,6 +215,42 @@ class TestSsmScan:
         finally:
             tracemalloc.stop()
         assert peak < 384 * 16 * 64 * 16 * 8, peak
+
+
+class TestBlockedScan:
+    """The taped scan runs over row blocks sized from imb.ROW_BLOCK_BYTES;
+    every block size must give the bits of one whole-batch pass."""
+
+    ROWS, TOKENS, DIM, STATE = 7, 6, 5, 3
+
+    def _inputs(self):
+        params = init_ssm_params(self.DIM, self.STATE, CounterRng(9))
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(self.ROWS, self.TOKENS, self.DIM))
+        # tiny steps put u = Δ·A on both sides of the series thresholds
+        delta = np_softplus(x @ params.w_delta.data - 10.5)
+        a = -np.exp(params.a_log.data)
+        u = np.abs(delta[..., None] * a)
+        assert np.any(u < 1e-4) and np.any(u >= 1e-4)
+        weights = rng.normal(size=x.shape)
+        return (x, delta, x @ params.w_b.data, x @ params.w_c.data, a), weights
+
+    def _run(self, monkeypatch, rows):
+        monkeypatch.setattr(imb, "ROW_BLOCK_BYTES", rows * self.TOKENS * self.DIM * self.STATE * 8)
+        arrays, weights = self._inputs()
+        leaves = [parameter(v) for v in arrays]
+        with Tape() as tape:
+            y = _scan_primitive(*leaves)
+            loss = tsum(mul(y, Tensor(weights)))
+        grads = backward(tape, loss)
+        return [y.data] + [grads[leaf] for leaf in leaves]
+
+    def test_outputs_and_gradients_are_bitwise_equal_across_block_sizes(self, monkeypatch):
+        whole = self._run(monkeypatch, self.ROWS)
+        for rows in (1, 3):
+            blocked = self._run(monkeypatch, rows)
+            for name, a, b in zip(("y", "x", "delta", "b", "c", "a"), whole, blocked):
+                assert np.array_equal(a, b), (rows, name)
 
 
 class TestImbBranch:

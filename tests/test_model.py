@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from faim import imb
 from faim.errors import ConfigError, InputError, ShapeError
 from faim.model import (
     MAGIC,
@@ -24,7 +25,7 @@ from faim.model import (
 )
 from faim.nn import layer_norm, linear
 from faim.optim import AdamWState, adamw_step
-from faim.tensor import Tape, backward, mul, reshape, tmean, tsum
+from faim.tensor import Tape, Tensor, backward, mul, reshape, tmean, tsum
 
 
 def tiny_config(**kw):
@@ -165,6 +166,30 @@ class TestForward:
         with Tape():
             taped, _ = classify_batch(model, batch)
         np.testing.assert_allclose(free.data, taped.data, rtol=0.0, atol=1e-12)
+
+    def test_blocked_scan_gives_bitwise_equal_logits_and_gradients(self, monkeypatch):
+        model = build_model(tiny_config(seed=3), 3, 2, 16)
+        batch = np.random.default_rng(7).normal(size=(5, 2, 16))
+        weights = Tensor(np.random.default_rng(8).normal(size=(5, 3)))
+        # 10 scan rows (samples x channels), each a [Z, dim, state] float64 array
+        row_bytes = model.n_patches * model.config.embed_dim * model.config.ssm_state * 8
+
+        def run(rows):
+            monkeypatch.setattr(imb, "ROW_BLOCK_BYTES", rows * row_bytes)
+            with Tape() as tape:
+                logits, _ = classify_batch(model, batch)
+                loss = tsum(mul(logits, weights))
+            grads = backward(tape, loss)
+            return logits.data, [grads[p] for p in model.parameters() if p in grads]
+
+        whole_logits, whole_grads = run(10)
+        assert len(whole_grads) > 0
+        for rows in (1, 3):
+            logits, grads = run(rows)
+            assert np.array_equal(logits, whole_logits), rows
+            assert len(grads) == len(whole_grads)
+            for a, b in zip(grads, whole_grads):
+                assert np.array_equal(a, b), rows
 
     def test_deterministic_rebuild_and_forward(self):
         x = np.random.default_rng(5).normal(size=(2, 16))

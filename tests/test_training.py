@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from faim.data import SeriesDataset, make_synthetic_freq_dataset, make_synthetic_motion_dataset
-from faim.errors import InputError, ShapeError
+from faim.errors import InputError, NonFiniteError, ShapeError
 from faim.metrics import accuracy_and_macro_f1
 from faim.model import FaimConfig, build_model, classify_batch, load_checkpoint
 from faim.tensor import Tape, Tensor, backward, parameter
@@ -332,6 +332,42 @@ class TestFinetune:
             model, _ = finetune(ds, config, init=init, val_dataset=ds)
             after, _, _ = evaluate(model, ds)
             assert after < before, f"seed {seed}: {after} !< {before}"
+
+
+class TestNonFiniteTraining:
+    def _nan_init(self, config, ds, name):
+        model = build_model(config, ds.n_classes, ds.n_channels, ds.series_len)
+        dict(model.named_parameters())[name].data[0] = np.nan
+        return model
+
+    def test_nan_parameter_that_reaches_the_loss_stops_at_its_step(self, tmp_path):
+        ds = toy_separable()
+        config = tiny_config(finetune_epochs=2)
+        path = tmp_path / "ckpt"
+        init = self._nan_init(config, ds, "cls.w")
+        with pytest.raises(NonFiniteError, match="finetune epoch 1 step 1: the training loss is nan"):
+            finetune(ds, config, init=init, val_dataset=ds, checkpoint_path=str(path))
+        assert not path.exists()
+
+    def test_nan_parameter_outside_the_loss_stops_at_the_epoch_end(self, tmp_path):
+        # the reconstruction head takes no part in fine-tuning, so only the
+        # per-epoch parameter check can see it
+        ds = toy_separable()
+        config = tiny_config(finetune_epochs=2, batch_size=8)
+        path = tmp_path / "ckpt"
+        init = self._nan_init(config, ds, "recon.w")
+        with pytest.raises(NonFiniteError, match="finetune epoch 1 step 2: parameter recon.w"):
+            finetune(ds, config, init=init, val_dataset=ds, checkpoint_path=str(path))
+        assert not path.exists()
+
+    def test_non_finite_pretraining_loss_names_its_step(self, tmp_path):
+        ds = make_synthetic_freq_dataset(4, 16, [2.0, 5.0], 0.1, 0)
+        ds.samples[0][0][0, 3] = np.nan
+        path = tmp_path / "ckpt"
+        config = tiny_config(pretrain_epochs=2, batch_size=8, mask_ratio=0.5)
+        with pytest.raises(NonFiniteError, match="pretrain epoch 1 step "):
+            pretrain(ds, config, checkpoint_path=str(path))
+        assert not path.exists()
 
 
 class TestEvaluate:
