@@ -12,7 +12,7 @@ inverse transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class PsiFilter:
     w2: Tensor
     b2: Tensor
 
-    def parameters(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
 
 @dataclass
 class AfbParams:
@@ -53,13 +50,6 @@ class AfbParams:
     psi_high_local: PsiFilter
     psi_low_local: PsiFilter
     tau: float = 0.02
-    literal_cross_pairing: bool = False
-
-    def parameters(self) -> list[Tensor]:
-        out = [self.theta_high, self.theta_low]
-        for psi in (self.psi_global, self.psi_high_local, self.psi_low_local):
-            out.extend(psi.parameters())
-        return out
 
 
 @dataclass
@@ -71,23 +61,19 @@ class LayerActivations:
     mask_low: BandMask = None
     high: Spectrum = None
     low: Spectrum = None
-    filter_global: Tensor = None
-    filter_high: Tensor = None
-    filter_low: Tensor = None
     branch_global: Spectrum = None
     branch_high: Spectrum = None
     branch_low: Spectrum = None
     integrated: Spectrum = None
 
 
-def init_psi_filter(dim: int, rng: CounterRng, hidden: int | None = None) -> PsiFilter:
-    """Random near-zero filter; hidden width defaults to dim."""
+def init_psi_filter(dim: int, rng: CounterRng) -> PsiFilter:
+    """Random near-zero filter with a hidden width of dim."""
     width = 2 * dim
-    hidden = dim if hidden is None else hidden
     return PsiFilter(
-        w1=parameter(rng.normal((width, hidden), std=1.0 / np.sqrt(width))),
-        b1=parameter(np.zeros(hidden)),
-        w2=parameter(rng.normal((hidden, width), std=1.0 / np.sqrt(hidden))),
+        w1=parameter(rng.normal((width, dim), std=1.0 / np.sqrt(width))),
+        b1=parameter(np.zeros(dim)),
+        w2=parameter(rng.normal((dim, width), std=1.0 / np.sqrt(dim))),
         b2=parameter(np.zeros(width)),
     )
 
@@ -98,17 +84,14 @@ def init_afb_params(
     theta_high: float = 0.4,
     theta_low: float = 0.05,
     tau: float = 0.02,
-    hidden: int | None = None,
-    literal_cross_pairing: bool = False,
 ) -> AfbParams:
     return AfbParams(
         theta_high=parameter(theta_high),
         theta_low=parameter(theta_low),
-        psi_global=init_psi_filter(dim, rng.spawn("psi_global"), hidden),
-        psi_high_local=init_psi_filter(dim, rng.spawn("psi_high"), hidden),
-        psi_low_local=init_psi_filter(dim, rng.spawn("psi_low"), hidden),
+        psi_global=init_psi_filter(dim, rng.spawn("psi_global")),
+        psi_high_local=init_psi_filter(dim, rng.spawn("psi_high")),
+        psi_low_local=init_psi_filter(dim, rng.spawn("psi_low")),
         tau=tau,
-        literal_cross_pairing=literal_cross_pairing,
     )
 
 
@@ -126,16 +109,9 @@ def psi_filter_values(p: PsiFilter, s: Spectrum) -> Tensor:
     return make_complex(re, im)
 
 
-def psi_apply(p: PsiFilter, s: Spectrum, target: Spectrum | None = None) -> Spectrum:
-    """Multiply a spectrum by the complex filter computed from ``s``.
-
-    ``target`` defaults to ``s`` itself; passing a different spectrum applies
-    the filter values cross-wise (used by the literal cross-pairing variant).
-    """
-    if target is None:
-        target = s
-    g = psi_filter_values(p, s)
-    return Spectrum(mul(g, target.bins), target.n_time)
+def psi_apply(p: PsiFilter, s: Spectrum) -> Spectrum:
+    """Multiply a spectrum by the complex filter computed from it."""
+    return Spectrum(mul(psi_filter_values(p, s), s.bins), s.n_time)
 
 
 def afb_forward(
@@ -151,10 +127,7 @@ def afb_forward(
     """
     acts = LayerActivations()
     acts.spectrum = rfft(tokens)
-    acts.filter_global = psi_filter_values(params.psi_global, acts.spectrum)
-    acts.branch_global = Spectrum(
-        mul(acts.filter_global, acts.spectrum.bins), acts.spectrum.n_time
-    )
+    acts.branch_global = psi_apply(params.psi_global, acts.spectrum)
     integrated_bins = acts.branch_global.bins
 
     if use_high or use_low:
@@ -163,13 +136,10 @@ def afb_forward(
         acts.high = apply_mask(acts.spectrum, acts.mask_high)
         acts.low = apply_mask(acts.spectrum, acts.mask_low)
     if use_high:
-        high_target = acts.low if params.literal_cross_pairing else acts.high
-        acts.filter_high = psi_filter_values(params.psi_high_local, acts.high)
-        acts.branch_high = Spectrum(mul(acts.filter_high, high_target.bins), high_target.n_time)
+        acts.branch_high = psi_apply(params.psi_high_local, acts.high)
         integrated_bins = add(integrated_bins, acts.branch_high.bins)
     if use_low:
-        acts.filter_low = psi_filter_values(params.psi_low_local, acts.low)
-        acts.branch_low = Spectrum(mul(acts.filter_low, acts.low.bins), acts.low.n_time)
+        acts.branch_low = psi_apply(params.psi_low_local, acts.low)
         integrated_bins = add(integrated_bins, acts.branch_low.bins)
 
     acts.integrated = Spectrum(integrated_bins, acts.spectrum.n_time)

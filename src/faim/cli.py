@@ -8,6 +8,7 @@ or config error, 2 internal error.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import time
@@ -16,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_io
-from .config import format_echo, resolve_config
+from .config import format_echo, model_config, resolve_config
 from .errors import FaimError, InputError
 from .metrics import accuracy_and_macro_f1
-from .model import FaimConfig, load_checkpoint
+from .model import load_checkpoint
 from .training import TrainReport, dataset_meta, evaluate, finetune, predict_dataset, pretrain
 
 COMMANDS = ("pretrain", "finetune", "eval", "noise-bench", "ablate", "synth")
@@ -47,34 +48,6 @@ commands:
 Keys are the flat dotted names from the config registry, e.g.
   faim finetune --data.train train.tsv --train.finetune_epochs 50
 """
-
-
-def model_config_from(cfg: dict) -> FaimConfig:
-    return FaimConfig(
-        patch_len=cfg["model.patch_len"],
-        patch_stride=cfg["model.patch_stride"],
-        embed_dim=cfg["model.embed_dim"],
-        n_layers=cfg["model.n_layers"],
-        ssm_state=cfg["imb.ssm_state"],
-        conv_k1=cfg["imb.conv_k1"],
-        conv_k2=cfg["imb.conv_k2"],
-        conv_k3=cfg["imb.conv_k3"],
-        theta_high=cfg["afb.theta_high"],
-        theta_low=cfg["afb.theta_low"],
-        tau=cfg["afb.tau"],
-        mask_ratio=cfg["train.mask_ratio"],
-        label_smooth_eps=cfg["train.label_smooth_eps"],
-        lr=cfg["train.lr"],
-        weight_decay=cfg["train.weight_decay"],
-        pretrain_epochs=cfg["train.pretrain_epochs"],
-        finetune_epochs=cfg["train.finetune_epochs"],
-        batch_size=cfg["train.batch_size"],
-        seed=cfg["train.seed"],
-        variant=cfg["model.variant"],
-        literal_cross_pairing=cfg["afb.literal_cross_pairing"],
-        concat_fusion=cfg["imb.concat_fusion"],
-        share_in_proj=cfg["imb.share_in_proj"],
-    )
 
 
 def _load_dataset(path: str, fmt: str) -> data_io.SeriesDataset:
@@ -185,7 +158,7 @@ def _maybe_test_metrics(cfg: dict, model, train_meta: dict, report: TrainReport)
 def _cmd_pretrain(cfg: dict, out_dir: Path) -> None:
     started = time.perf_counter()
     dataset = _load_train(cfg)
-    model_cfg = model_config_from(cfg)
+    model_cfg = model_config(cfg)
     _, report = pretrain(dataset, model_cfg, checkpoint_path=str(out_dir / "checkpoint"))
     report.summary["wall_seconds"] = f"{time.perf_counter() - started:.3f}"
     _write(out_dir / "report.csv", report.to_csv(include_timing=False))
@@ -195,7 +168,7 @@ def _cmd_pretrain(cfg: dict, out_dir: Path) -> None:
 def _cmd_finetune(cfg: dict, out_dir: Path) -> None:
     started = time.perf_counter()
     dataset = _load_train(cfg)
-    model_cfg = model_config_from(cfg)
+    model_cfg = model_config(cfg)
     init = None
     meta = {}
     if cfg["finetune.init"]:
@@ -247,20 +220,20 @@ def _cmd_noise_bench(cfg: dict, out_dir: Path) -> None:
 def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
     if not cfg["data.test"]:
         raise InputError("ablate needs --data.test to score the variants")
+    base = model_config(cfg)
+    variant_cfgs = [dataclasses.replace(base, variant=v) for v in cfg["ablate.variants"]]
     dataset = _load_train(cfg)
     lines = ["variant,label,accuracy,macro_f1"]
     summary = {}
-    for variant in cfg["ablate.variants"]:
-        model_cfg = model_config_from(cfg)
-        model_cfg.variant = variant
+    for model_cfg in variant_cfgs:
+        variant = model_cfg.variant
         init = None
         if variant != "no_pretrain" and model_cfg.pretrain_epochs > 0:
             init, _ = pretrain(dataset, model_cfg)
         model, _ = finetune(dataset, model_cfg, init=init)
         test = _load_test_like(cfg, dataset_meta(dataset, model_cfg))
         _, acc, f1 = evaluate(model, test, cfg["train.batch_size"])
-        label = VARIANT_LABELS.get(variant, variant)
-        lines.append(f"{variant},{label},{repr(acc)},{repr(f1)}")
+        lines.append(f"{variant},{VARIANT_LABELS[variant]},{repr(acc)},{repr(f1)}")
         summary[f"accuracy_{variant}"] = repr(acc)
     _write(out_dir / "report.csv", "\n".join(lines) + "\n")
     _write(out_dir / "summary", "\n".join(f"{k}={summary[k]}" for k in sorted(summary)) + "\n")

@@ -8,37 +8,36 @@ rejected with the full list of valid ones.
 
 from __future__ import annotations
 
-from .errors import ConfigError
+from dataclasses import fields
 
-# key -> (type tag, default encoded as a config string)
+from .errors import ConfigError
+from .model import CONFIG_SECTION, FaimConfig
+
+
+def _format(kind: str, value) -> str:
+    if kind == "bool":
+        return "true" if value else "false"
+    if kind == "float":
+        return repr(float(value))
+    if kind == "floats":
+        return ",".join(repr(float(v)) for v in value)
+    if kind == "strs":
+        return ",".join(value)
+    return str(value)
+
+
+# key -> (type tag, default encoded as a config string).  The model and
+# training keys are the FaimConfig fields: the key of field ``lr`` is
+# ``train.lr``, its type tag the field's annotation, its default the field's.
 REGISTRY: dict[str, tuple[str, str]] = {
     "data.train": ("str", ""),
     "data.test": ("str", ""),
     "data.format": ("str", "univariate"),
     "data.normalize": ("bool", "true"),
-    "model.patch_len": ("int", "8"),
-    "model.patch_stride": ("int", "0"),
-    "model.embed_dim": ("int", "64"),
-    "model.n_layers": ("int", "2"),
-    "model.variant": ("str", "full"),
-    "afb.theta_high": ("float", "0.4"),
-    "afb.theta_low": ("float", "0.05"),
-    "afb.tau": ("float", "0.02"),
-    "afb.literal_cross_pairing": ("bool", "false"),
-    "imb.ssm_state": ("int", "16"),
-    "imb.conv_k1": ("int", "2"),
-    "imb.conv_k2": ("int", "4"),
-    "imb.conv_k3": ("int", "1"),
-    "imb.concat_fusion": ("bool", "false"),
-    "imb.share_in_proj": ("bool", "false"),
-    "train.lr": ("float", "0.001"),
-    "train.weight_decay": ("float", "0.0001"),
-    "train.mask_ratio": ("float", "0.4"),
-    "train.label_smooth_eps": ("float", "0.1"),
-    "train.pretrain_epochs": ("int", "100"),
-    "train.finetune_epochs": ("int", "300"),
-    "train.batch_size": ("int", "256"),
-    "train.seed": ("int", "0"),
+    **{
+        f"{CONFIG_SECTION[f.name]}.{f.name}": (f.type, _format(f.type, f.default))
+        for f in fields(FaimConfig)
+    },
     "finetune.init": ("str", ""),
     "eval.checkpoint": ("str", ""),
     "noise.sigmas": ("floats", "0.0,0.2,0.5,1.0"),
@@ -94,16 +93,12 @@ def parse_value(key: str, text: str):
 
 
 def format_value(key: str, value) -> str:
-    kind, _ = REGISTRY[key]
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "float":
-        return repr(float(value))
-    if kind == "floats":
-        return ",".join(repr(float(v)) for v in value)
-    if kind == "strs":
-        return ",".join(value)
-    return str(value)
+    return _format(REGISTRY[key][0], value)
+
+
+def model_config(resolved: dict) -> FaimConfig:
+    """The FaimConfig named by the model and training keys of a resolution."""
+    return FaimConfig(**{name: resolved[f"{sec}.{name}"] for name, sec in CONFIG_SECTION.items()})
 
 
 def _reject_unknown(key: str) -> None:

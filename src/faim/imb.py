@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ShapeError
 from .nn import causal_conv1d, layer_norm, linear
 from .rng import CounterRng
-from .tensor import Tensor, active_tape, add, concat, matmul, mul, neg, parameter, record, reshape, silu, softplus, texp
+from .tensor import Tensor, active_tape, add, matmul, mul, neg, parameter, record, reshape, silu, softplus, texp
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +204,6 @@ class SsmParams:
     w_delta: Tensor
     delta_bias: Tensor
 
-    def parameters(self) -> list[Tensor]:
-        return [self.a_log, self.w_b, self.w_c, self.w_delta, self.delta_bias]
-
 
 def init_ssm_params(dim: int, state: int, rng: CounterRng) -> SsmParams:
     # A = -exp(a_log) with a_log = log(1..state) keeps every mode decaying,
@@ -267,33 +264,6 @@ class ImbParams:
     conv_3_bias: Tensor
     out_w: Tensor
     out_b: Tensor
-    concat_fusion: bool = False
-    share_in_proj: bool = False
-
-    def parameters(self) -> list[Tensor]:
-        out = [self.in_w_1, self.in_b_1]
-        if not self.share_in_proj:
-            out += [self.in_w_2, self.in_b_2]
-        out += [
-            self.gate_w,
-            self.gate_b,
-            self.conv_1,
-            self.conv_1_bias,
-            self.conv_2,
-            self.conv_2_bias,
-        ]
-        out += self.ssm_1.parameters() + self.ssm_2.parameters()
-        out += [
-            self.ln_1_gamma,
-            self.ln_1_beta,
-            self.ln_2_gamma,
-            self.ln_2_beta,
-            self.conv_3,
-            self.conv_3_bias,
-            self.out_w,
-            self.out_b,
-        ]
-        return out
 
 
 def init_imb_params(
@@ -303,23 +273,13 @@ def init_imb_params(
     k1: int = 2,
     k2: int = 4,
     k3: int = 1,
-    concat_fusion: bool = False,
-    share_in_proj: bool = False,
 ) -> ImbParams:
     scale = 1.0 / np.sqrt(dim)
-    in_w_1 = parameter(rng.normal((dim, dim), std=scale))
-    in_b_1 = parameter(np.zeros(dim))
-    if share_in_proj:
-        in_w_2, in_b_2 = in_w_1, in_b_1
-    else:
-        in_w_2 = parameter(rng.normal((dim, dim), std=scale))
-        in_b_2 = parameter(np.zeros(dim))
-    fuse_dim = 2 * dim if concat_fusion else dim
     return ImbParams(
-        in_w_1=in_w_1,
-        in_b_1=in_b_1,
-        in_w_2=in_w_2,
-        in_b_2=in_b_2,
+        in_w_1=parameter(rng.normal((dim, dim), std=scale)),
+        in_b_1=parameter(np.zeros(dim)),
+        in_w_2=parameter(rng.normal((dim, dim), std=scale)),
+        in_b_2=parameter(np.zeros(dim)),
         gate_w=parameter(rng.normal((dim, dim), std=scale)),
         gate_b=parameter(np.zeros(dim)),
         conv_1=parameter(rng.normal((k1, dim), std=1.0 / np.sqrt(k1))),
@@ -332,12 +292,10 @@ def init_imb_params(
         ln_1_beta=parameter(np.zeros(dim)),
         ln_2_gamma=parameter(np.ones(dim)),
         ln_2_beta=parameter(np.zeros(dim)),
-        conv_3=parameter(rng.normal((k3, fuse_dim), std=1.0 / np.sqrt(k3))),
-        conv_3_bias=parameter(np.zeros(fuse_dim)),
-        out_w=parameter(rng.normal((fuse_dim, dim), std=1.0 / np.sqrt(fuse_dim))),
+        conv_3=parameter(rng.normal((k3, dim), std=1.0 / np.sqrt(k3))),
+        conv_3_bias=parameter(np.zeros(dim)),
+        out_w=parameter(rng.normal((dim, dim), std=1.0 / np.sqrt(dim))),
         out_b=parameter(np.zeros(dim)),
-        concat_fusion=concat_fusion,
-        share_in_proj=share_in_proj,
     )
 
 
@@ -367,9 +325,5 @@ def imb_forward(tokens: Tensor, params: ImbParams) -> Tensor:
     h2 = imb_branch(tokens, 2, params)
     fused_1 = mul(mul(silu(h1), h2), gate)
     fused_2 = mul(mul(silu(h2), h1), gate)
-    if params.concat_fusion:
-        fused = concat([fused_1, fused_2], axis=-1)
-    else:
-        fused = add(fused_1, fused_2)
-    y = causal_conv1d(fused, params.conv_3, params.conv_3_bias)
+    y = causal_conv1d(add(fused_1, fused_2), params.conv_3, params.conv_3_bias)
     return linear(y, params.out_w, params.out_b)

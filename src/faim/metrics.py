@@ -1,8 +1,6 @@
-"""Classification metrics and the cross-dataset comparison table."""
+"""Classification metrics: accuracy and unweighted macro-F1."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,68 +32,3 @@ def accuracy_and_macro_f1(preds, labels, n_classes: int | None = None) -> tuple[
         f1_scores.append(2.0 * tp / (2.0 * tp + fp + fn))
     macro_f1 = float(np.mean(f1_scores)) if f1_scores else 0.0
     return accuracy, macro_f1
-
-
-@dataclass
-class MetricTable:
-    """(method, dataset) -> accuracy/macro-F1 cells with ranking helpers."""
-
-    rows: dict[tuple[str, str], dict[str, float]] = field(default_factory=dict)
-
-    def add(self, method: str, dataset: str, accuracy: float, macro_f1: float) -> None:
-        self.rows[(method, dataset)] = {"accuracy": accuracy, "macro_f1": macro_f1}
-
-    def methods(self) -> list[str]:
-        seen = []
-        for method, _ in self.rows:
-            if method not in seen:
-                seen.append(method)
-        return seen
-
-    def datasets(self) -> list[str]:
-        seen = []
-        for _, dataset in self.rows:
-            if dataset not in seen:
-                seen.append(dataset)
-        return seen
-
-    def cell(self, method: str, dataset: str) -> dict[str, float]:
-        try:
-            return self.rows[(method, dataset)]
-        except KeyError:
-            raise InputError(f"no score recorded for method {method!r} on dataset {dataset!r}") from None
-
-    def average_accuracy(self, method: str) -> float:
-        return float(np.mean([self.cell(method, d)["accuracy"] for d in self.datasets()]))
-
-    def top1_counts(self) -> dict[str, int]:
-        counts = {m: 0 for m in self.methods()}
-        for dataset in self.datasets():
-            best = max(self.cell(m, dataset)["accuracy"] for m in self.methods())
-            for m in self.methods():
-                if self.cell(m, dataset)["accuracy"] == best:
-                    counts[m] += 1
-        return counts
-
-
-def average_rank(table: MetricTable) -> dict[str, float]:
-    """Mean rank per method: rank 1 is the highest accuracy, ties get the
-    mean of the tied positions."""
-    methods = table.methods()
-    datasets = table.datasets()
-    if not methods or not datasets:
-        raise InputError("rank table is empty")
-    totals = {m: 0.0 for m in methods}
-    for dataset in datasets:
-        scores = [(table.cell(m, dataset)["accuracy"], m) for m in methods]
-        by_score: dict[float, list[str]] = {}
-        for score, m in scores:
-            by_score.setdefault(score, []).append(m)
-        position = 1
-        for score in sorted(by_score, reverse=True):
-            tied = by_score[score]
-            mean_rank = position + (len(tied) - 1) / 2.0
-            for m in tied:
-                totals[m] += mean_rank
-            position += len(tied)
-    return {m: totals[m] / len(datasets) for m in methods}

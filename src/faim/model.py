@@ -28,6 +28,8 @@ VARIANTS = ("full", "no_afb", "no_hf", "no_lf", "no_hf_lf", "no_imb", "no_pretra
 
 @dataclass
 class FaimConfig:
+    """Model and training settings; every field is a config key (CONFIG_SECTION)."""
+
     patch_len: int = 8
     patch_stride: int = 0  # 0 means "same as patch_len" (non-overlapping)
     embed_dim: int = 64
@@ -48,9 +50,6 @@ class FaimConfig:
     batch_size: int = 256
     seed: int = 0
     variant: str = "full"
-    literal_cross_pairing: bool = False
-    concat_fusion: bool = False
-    share_in_proj: bool = False
 
     def __post_init__(self):
         if self.patch_len < 1:
@@ -71,6 +70,21 @@ class FaimConfig:
             raise ConfigError(f"batch_size must be in [1, 256], got {self.batch_size}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose one of {VARIANTS}")
+
+
+# The config-registry section of every FaimConfig field.  Field ``lr`` is the
+# key ``train.lr``; the key's type tag and default are the field's annotation
+# and default.
+CONFIG_SECTION = {
+    **dict.fromkeys(("patch_len", "patch_stride", "embed_dim", "n_layers", "variant"), "model"),
+    **dict.fromkeys(("theta_high", "theta_low", "tau"), "afb"),
+    **dict.fromkeys(("ssm_state", "conv_k1", "conv_k2", "conv_k3"), "imb"),
+    **dict.fromkeys(
+        ("mask_ratio", "label_smooth_eps", "lr", "weight_decay", "pretrain_epochs",
+         "finetune_epochs", "batch_size", "seed"),
+        "train",
+    ),
+}
 
 
 @dataclass
@@ -122,10 +136,11 @@ class FaimModel:
                     (f"{p}.afb.{tag}.b2", psi.b2),
                 ]
             imb = layer.imb
-            out += [(f"{p}.imb.in_w_1", imb.in_w_1), (f"{p}.imb.in_b_1", imb.in_b_1)]
-            if not imb.share_in_proj:
-                out += [(f"{p}.imb.in_w_2", imb.in_w_2), (f"{p}.imb.in_b_2", imb.in_b_2)]
             out += [
+                (f"{p}.imb.in_w_1", imb.in_w_1),
+                (f"{p}.imb.in_b_1", imb.in_b_1),
+                (f"{p}.imb.in_w_2", imb.in_w_2),
+                (f"{p}.imb.in_b_2", imb.in_b_2),
                 (f"{p}.imb.gate_w", imb.gate_w),
                 (f"{p}.imb.gate_b", imb.gate_b),
                 (f"{p}.imb.conv_1", imb.conv_1),
@@ -214,7 +229,6 @@ def build_model(config: FaimConfig, n_classes: int, n_channels: int, series_len:
                     theta_high=config.theta_high,
                     theta_low=config.theta_low,
                     tau=config.tau,
-                    literal_cross_pairing=config.literal_cross_pairing,
                 ),
                 imb=init_imb_params(
                     dim,
@@ -223,8 +237,6 @@ def build_model(config: FaimConfig, n_classes: int, n_channels: int, series_len:
                     k1=config.conv_k1,
                     k2=config.conv_k2,
                     k3=config.conv_k3,
-                    concat_fusion=config.concat_fusion,
-                    share_in_proj=config.share_in_proj,
                 ),
                 ln_gamma=parameter(np.ones(dim)),
                 ln_beta=parameter(np.zeros(dim)),

@@ -17,9 +17,10 @@ import numpy as np
 
 from . import imb
 from .data import SeriesDataset, split_dataset
-from .errors import InputError, NonFiniteError, ShapeError
+from .errors import ConfigError, InputError, NonFiniteError, ShapeError
 from .metrics import accuracy_and_macro_f1
 from .model import (
+    CONFIG_SECTION,
     FaimConfig,
     FaimModel,
     build_model,
@@ -311,7 +312,10 @@ def finetune(
 ) -> tuple[FaimModel, TrainReport]:
     """Supervised stage; returns the best-validation-accuracy state.
 
-    Non-finite losses and parameters raise NonFiniteError, as in ``pretrain``.
+    An ``init`` model must match ``config`` in every setting outside the
+    ``train`` section, or ConfigError names the first that differs; it then
+    trains and is saved under ``config``.  Non-finite losses and parameters
+    raise NonFiniteError, as in ``pretrain``.
     """
     if len(dataset) == 0:
         raise InputError("cannot finetune on an empty dataset")
@@ -323,9 +327,18 @@ def finetune(
         train_set, val_set = split_dataset(dataset, 0.2, derive_seed(config.seed, "val"))
     else:
         train_set, val_set = dataset, val_dataset
-    model = init
-    if model is None:
+    if init is None:
         model = build_model(config, dataset.n_classes, dataset.n_channels, dataset.series_len)
+    else:
+        for name, section in CONFIG_SECTION.items():
+            wanted, built = getattr(config, name), getattr(init.config, name)
+            if section != "train" and wanted != built:
+                raise ConfigError(
+                    f"{section}.{name} is {wanted!r}, but the init model was built with "
+                    f"{built!r}; only train.* settings may differ"
+                )
+        model = init
+        model.config = config
     x, y = train_set.arrays()
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
     shuffle_rng = CounterRng(derive_seed(config.seed, "finetune-shuffle"))

@@ -82,16 +82,6 @@ class TestPsiFilter:
             v = psi_filter_values(psi, s)
         np.testing.assert_allclose(out.bins.data, v.data * s.bins.data, atol=1e-12)
 
-    def test_cross_target_uses_source_for_values(self):
-        psi = init_psi_filter(2, CounterRng(6))
-        gen = np.random.default_rng(5)
-        with Tape():
-            s_a = rfft(Tensor(gen.normal(size=(8, 2))))
-            s_b = rfft(Tensor(gen.normal(size=(8, 2))))
-            out = psi_apply(psi, s_a, target=s_b)
-            v = psi_filter_values(psi, s_a)
-        np.testing.assert_allclose(out.bins.data, v.data * s_b.bins.data, atol=1e-12)
-
     def test_width_mismatch_rejected(self):
         psi = init_psi_filter(3, CounterRng(7))
         with pytest.raises(ShapeError):
@@ -242,39 +232,6 @@ class TestAfbForward:
         np.testing.assert_allclose(
             out_no_hf.data, np.fft.irfft(expected, n=8, axis=0), atol=1e-8
         )
-
-    def test_literal_cross_pairing_applies_high_filter_to_low_band(self):
-        params = self._params(2, seed=7, literal_cross_pairing=True)
-        x = np.random.default_rng(7).normal(size=(8, 2))
-        with Tape():
-            out, acts = afb_forward(Tensor(x), params)
-            expected_high = psi_apply(params.psi_high_local, acts.high, target=acts.low)
-            expected_low = psi_apply(params.psi_low_local, acts.low)
-        np.testing.assert_allclose(
-            acts.branch_high.bins.data, expected_high.bins.data, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            acts.branch_low.bins.data, expected_low.bins.data, atol=1e-12
-        )
-        integrated = (
-            acts.branch_global.bins.data
-            + expected_high.bins.data
-            + expected_low.bins.data
-        )
-        np.testing.assert_allclose(
-            out.data, np.fft.irfft(integrated, n=8, axis=0), atol=1e-8
-        )
-
-    def test_literal_and_standard_wirings_differ(self):
-        kw = dict(theta_high=0.3, theta_low=0.15, tau=0.05)
-        std = self._params(2, seed=8, **kw)
-        lit = dataclasses.replace(std, literal_cross_pairing=True)
-        x = np.random.default_rng(8).normal(size=(8, 2))
-        with Tape():
-            out_std, _ = afb_forward(Tensor(x), std)
-        with Tape():
-            out_lit, _ = afb_forward(Tensor(x), lit)
-        assert np.max(np.abs(out_std.data - out_lit.data)) > 1e-6
 
 
 class TestAfbGradients:

@@ -1,15 +1,17 @@
 """Config resolution, exit codes, artifacts, and rerun determinism."""
 
 import errno
+import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from faim.cli import _write, main, model_config_from
-from faim.config import format_echo, parse_config_file, resolve_config
+from faim.cli import _write, main
+from faim.config import REGISTRY, format_echo, model_config, parse_config_file, resolve_config
 from faim.errors import ConfigError
-from faim.model import FaimConfig, build_model, load_checkpoint, save_checkpoint
+from faim.model import CONFIG_SECTION, MAGIC, FaimConfig, build_model, load_checkpoint, save_checkpoint
 
 SMALL = [
     "--model.patch_len", "4",
@@ -113,12 +115,52 @@ class TestConfigResolution:
         assert "noise.sigmas=0.0,0.2,0.5,1.0" in lines
 
     def test_model_config_mapping(self):
-        cfg = resolve_config(None, [("variant", "no_hf"), ("afb.literal_cross_pairing", "true")])
-        mc = model_config_from(cfg)
+        cfg = resolve_config(None, [("variant", "no_hf"), ("afb.tau", "0.05")])
+        mc = model_config(cfg)
         assert (mc.patch_len, mc.embed_dim, mc.ssm_state) == (8, 64, 16)
         assert mc.variant == "no_hf"
-        assert mc.literal_cross_pairing is True
-        assert mc.tau == 0.02
+        assert mc.tau == 0.05
+
+    def test_model_and_training_keys_are_the_faim_config_fields(self):
+        derived = {k for k in REGISTRY if k.split(".")[0] in ("model", "afb", "imb", "train")}
+        assert derived == {f"{CONFIG_SECTION[f.name]}.{f.name}" for f in fields(FaimConfig)}
+        assert set(CONFIG_SECTION) == {f.name for f in fields(FaimConfig)}
+
+    def test_every_derived_key_reaches_its_field(self):
+        flags = {
+            "model.patch_len": "5", "model.patch_stride": "3", "model.embed_dim": "12",
+            "model.n_layers": "3", "model.variant": "no_lf",
+            "afb.theta_high": "0.3", "afb.theta_low": "0.1", "afb.tau": "0.05",
+            "imb.ssm_state": "6", "imb.conv_k1": "3", "imb.conv_k2": "5", "imb.conv_k3": "2",
+            "train.mask_ratio": "0.5", "train.label_smooth_eps": "0.2", "train.lr": "0.002",
+            "train.weight_decay": "0.001", "train.pretrain_epochs": "7",
+            "train.finetune_epochs": "9", "train.batch_size": "17", "train.seed": "4",
+        }
+        assert set(flags) == {f"{sec}.{name}" for name, sec in CONFIG_SECTION.items()}
+        mc = model_config(resolve_config(None, list(flags.items())))
+        default = FaimConfig()
+        for name, sec in CONFIG_SECTION.items():
+            value = getattr(mc, name)
+            assert str(value) == flags[f"{sec}.{name}"], name
+            assert value != getattr(default, name), name
+
+    def test_default_resolution_is_the_default_model_config(self):
+        assert model_config(resolve_config()) == FaimConfig()
+
+    def test_default_echo_keeps_every_model_and_training_line(self):
+        lines = [
+            l for l in format_echo(resolve_config()).splitlines()
+            if l.split(".")[0] in ("model", "afb", "imb", "train")
+        ]
+        assert lines == [
+            "afb.tau=0.02", "afb.theta_high=0.4", "afb.theta_low=0.05",
+            "imb.conv_k1=2", "imb.conv_k2=4", "imb.conv_k3=1", "imb.ssm_state=16",
+            "model.embed_dim=64", "model.n_layers=2", "model.patch_len=8",
+            "model.patch_stride=0", "model.variant=full",
+            "train.batch_size=256", "train.finetune_epochs=300", "train.label_smooth_eps=0.1",
+            "train.lr=0.001", "train.mask_ratio=0.4", "train.pretrain_epochs=100",
+            "train.seed=0", "train.weight_decay=0.0001",
+        ]
 
 
 class TestExitCodes:
@@ -160,6 +202,23 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(path) in err and "internal error" not in err
+
+    def test_checkpoint_with_a_retired_setting_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "old.ckpt"
+        model = build_model(FaimConfig(patch_len=4, embed_dim=8, n_layers=1, ssm_state=4), 2, 1, 16)
+        save_checkpoint(model, str(path))
+        raw = path.read_bytes()
+        start = len(MAGIC) + 8
+        end = start + int.from_bytes(raw[len(MAGIC) : start], "little")
+        header = json.loads(raw[start:end])
+        header["config"]["literal_cross_pairing"] = False
+        encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(MAGIC + len(encoded).to_bytes(8, "little") + encoded + raw[end:])
+        rc = main(["eval", "--run.dir", str(tmp_path), "--run.name", "e",
+                   "--eval.checkpoint", str(path), "--data.test", str(tmp_path / "test.tsv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{path} has an unreadable header" in err and "literal_cross_pairing" in err
 
     @pytest.mark.parametrize(
         "name, text, fmt, where",
@@ -340,6 +399,46 @@ class TestPipeline:
         assert lines[0] == "variant,label,accuracy,macro_f1"
         assert lines[1].startswith("full,FAIM,")
         assert lines[2].startswith("no_afb,w/o AFB,")
+
+    def test_ablate_rejects_an_unknown_variant_before_training(self, pipeline, capsys, monkeypatch):
+        root, train, test = pipeline
+        trained = []
+        for stage in ("pretrain", "finetune"):
+            monkeypatch.setattr(f"faim.cli.{stage}", lambda *a, stage=stage, **k: trained.append(stage))
+        rc = main(
+            ["ablate", "--run.dir", str(root), "--run.name", "ab3",
+             "--data.train", train, "--data.test", test,
+             "--variants", "full,bogus", *SMALL]
+        )
+        assert rc == 1
+        assert "unknown variant 'bogus'" in capsys.readouterr().err
+        assert trained == []
+        assert not (root / "ab3" / "report.csv").exists()
+
+    def test_finetune_init_rejects_a_different_model_setting(self, pipeline, capsys):
+        root, train, _ = pipeline
+        rc = main(
+            ["finetune", "--run.dir", str(root), "--run.name", "ft-mismatch",
+             "--data.train", train, "--finetune.init", str(root / "pre" / "checkpoint"),
+             *SMALL, "--model.embed_dim", "16", "--variant", "no_afb",
+             "--train.label_smooth_eps", "0.3"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "model.embed_dim is 16, but the init model was built with 8" in err
+        assert not (root / "ft-mismatch" / "checkpoint").exists()
+
+    def test_finetune_init_honours_training_settings(self, pipeline):
+        root, train, _ = pipeline
+        rc = main(
+            ["finetune", "--run.dir", str(root), "--run.name", "ft-train",
+             "--data.train", train, "--finetune.init", str(root / "pre" / "checkpoint"),
+             *SMALL, "--train.label_smooth_eps", "0.3", "--train.finetune_epochs", "1"]
+        )
+        assert rc == 0
+        model, _ = load_checkpoint(str(root / "ft-train" / "checkpoint"))
+        assert (model.config.label_smooth_eps, model.config.finetune_epochs) == (0.3, 1)
+        assert "epochs=1" in (root / "ft-train" / "summary").read_text().splitlines()
 
     def test_ablate_requires_test_split(self, pipeline, capsys):
         root, train, _ = pipeline

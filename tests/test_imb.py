@@ -388,21 +388,6 @@ class TestImbForward:
         np.testing.assert_array_equal(y0.data[:4], y1.data[:4])
         assert np.max(np.abs(y0.data[4:] - y1.data[4:])) > 1e-8
 
-    def test_concat_fusion_widens_fuse_stage(self):
-        params = self._params(dim=3, seed=5, concat_fusion=True)
-        assert params.conv_3.shape == (1, 6)
-        assert params.out_w.shape == (6, 3)
-        with Tape():
-            out = imb_forward(Tensor(np.random.default_rng(5).normal(size=(6, 3))), params)
-        assert out.shape == (6, 3)
-
-    def test_shared_input_projection_aliases_tensors(self):
-        params = self._params(seed=6, share_in_proj=True)
-        assert params.in_w_2 is params.in_w_1
-        assert params.in_b_2 is params.in_b_1
-        names = [id(p) for p in params.parameters()]
-        assert len(names) == len(set(names))
-
     def test_gradient_passes_finite_differences(self):
         params = self._params(dim=2, state=3, seed=7)
         params.ssm_1.delta_bias.data[:] = 0.5

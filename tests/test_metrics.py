@@ -1,10 +1,10 @@
-"""Accuracy/macro-F1 scoring and the cross-dataset comparison table."""
+"""Accuracy and macro-F1 scoring."""
 
 import numpy as np
 import pytest
 
 from faim.errors import InputError
-from faim.metrics import MetricTable, accuracy_and_macro_f1, average_rank
+from faim.metrics import accuracy_and_macro_f1
 
 
 class TestAccuracyAndMacroF1:
@@ -52,83 +52,3 @@ class TestAccuracyAndMacroF1:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InputError, match="shape"):
             accuracy_and_macro_f1([0, 1], [0, 1, 1])
-
-
-class TestMetricTable:
-    def _table(self):
-        table = MetricTable()
-        table.add("full", "ds1", 0.9, 0.88)
-        table.add("ablate", "ds1", 0.8, 0.78)
-        table.add("full", "ds2", 0.7, 0.69)
-        table.add("ablate", "ds2", 0.75, 0.74)
-        return table
-
-    def test_insertion_order_preserved(self):
-        table = self._table()
-        assert table.methods() == ["full", "ablate"]
-        assert table.datasets() == ["ds1", "ds2"]
-
-    def test_cell_lookup(self):
-        table = self._table()
-        assert table.cell("full", "ds2") == {"accuracy": 0.7, "macro_f1": 0.69}
-
-    def test_missing_cell_names_both_keys(self):
-        with pytest.raises(InputError, match=r"'full'.*'nope'"):
-            self._table().cell("full", "nope")
-
-    def test_average_accuracy(self):
-        np.testing.assert_allclose(self._table().average_accuracy("full"), 0.8, rtol=1e-15)
-        np.testing.assert_allclose(self._table().average_accuracy("ablate"), 0.775, rtol=1e-15)
-
-    def test_top1_counts_share_ties(self):
-        table = self._table()
-        assert table.top1_counts() == {"full": 1, "ablate": 1}
-        table.add("full", "ds3", 0.5, 0.5)
-        table.add("ablate", "ds3", 0.5, 0.5)
-        assert table.top1_counts() == {"full": 2, "ablate": 2}
-
-
-class TestAverageRank:
-    def test_single_method_ranks_first_everywhere(self):
-        table = MetricTable()
-        table.add("only", "a", 0.4, 0.4)
-        table.add("only", "b", 0.9, 0.9)
-        assert average_rank(table) == {"only": 1.0}
-
-    def test_strict_ordering(self):
-        table = MetricTable()
-        for ds in ("a", "b"):
-            table.add("best", ds, 0.9, 0.9)
-            table.add("worst", ds, 0.1, 0.1)
-        assert average_rank(table) == {"best": 1.0, "worst": 2.0}
-
-    def test_ties_share_the_mean_position(self):
-        table = MetricTable()
-        table.add("m1", "a", 0.8, 0.8)
-        table.add("m2", "a", 0.8, 0.8)
-        assert average_rank(table) == {"m1": 1.5, "m2": 1.5}
-
-    def test_three_way_mixed(self):
-        # dataset a ranks: m1=1, m2=2, m3=3; dataset b: m3=1, tie(m1, m2)=2.5
-        table = MetricTable()
-        table.add("m1", "a", 0.9, 0.9)
-        table.add("m2", "a", 0.8, 0.8)
-        table.add("m3", "a", 0.7, 0.7)
-        table.add("m1", "b", 0.5, 0.5)
-        table.add("m2", "b", 0.5, 0.5)
-        table.add("m3", "b", 0.6, 0.6)
-        ranks = average_rank(table)
-        np.testing.assert_allclose(
-            [ranks["m1"], ranks["m2"], ranks["m3"]], [1.75, 2.25, 2.0], rtol=1e-15
-        )
-
-    def test_incomplete_table_rejected(self):
-        table = MetricTable()
-        table.add("m1", "a", 0.9, 0.9)
-        table.add("m2", "b", 0.8, 0.8)
-        with pytest.raises(InputError, match="no score recorded"):
-            average_rank(table)
-
-    def test_empty_table_rejected(self):
-        with pytest.raises(InputError, match="empty"):
-            average_rank(MetricTable())

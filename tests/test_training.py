@@ -1,5 +1,6 @@
 """Masking, losses, reports, and the two-stage training procedure."""
 
+import dataclasses
 import os
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from faim.data import SeriesDataset, make_synthetic_freq_dataset, make_synthetic_motion_dataset
-from faim.errors import InputError, NonFiniteError, ShapeError
+from faim.errors import ConfigError, InputError, NonFiniteError, ShapeError
 from faim.metrics import accuracy_and_macro_f1
 from faim.model import FaimConfig, build_model, classify_batch, load_checkpoint
 from faim.tensor import Tape, Tensor, backward, parameter
@@ -332,6 +333,39 @@ class TestFinetune:
             model, _ = finetune(ds, config, init=init, val_dataset=ds)
             after, _, _ = evaluate(model, ds)
             assert after < before, f"seed {seed}: {after} !< {before}"
+
+
+class TestFinetuneInit:
+    def test_a_different_model_setting_is_rejected(self, tmp_path):
+        ds = toy_separable()
+        config = tiny_config(finetune_epochs=1)
+        init = build_model(config, ds.n_classes, ds.n_channels, ds.series_len)
+        path = tmp_path / "ckpt"
+        for key, changes in (
+            ("model.variant", dict(variant="no_afb")),
+            ("afb.tau", dict(tau=0.05)),
+            ("imb.conv_k2", dict(conv_k2=3)),
+        ):
+            wanted = tiny_config(finetune_epochs=1, **changes)
+            (name, value), = changes.items()
+            built = getattr(config, name)
+            message = f"{key} is {value!r}, but the init model was built with {built!r}"
+            with pytest.raises(ConfigError, match=message):
+                finetune(ds, wanted, init=init, val_dataset=ds, checkpoint_path=str(path))
+            assert not path.exists()
+
+    def test_training_settings_override_the_init_model(self, tmp_path):
+        ds = toy_separable()
+        init = build_model(tiny_config(), ds.n_classes, ds.n_channels, ds.series_len)
+        config = tiny_config(finetune_epochs=1, label_smooth_eps=0.3, lr=0.0, seed=5)
+        path = tmp_path / "ckpt"
+        model, report = finetune(ds, config, init=init, val_dataset=ds, checkpoint_path=str(path))
+        assert model.config is config
+        assert load_checkpoint(str(path))[0].config == config
+        # the validation loss is smoothed with the finetune's eps, not the init's
+        val = [r for r in report.rows if r.split == "val"][0]
+        assert val.loss == evaluate(model, ds)[0]
+        assert val.loss != evaluate(dataclasses.replace(model, config=tiny_config()), ds)[0]
 
 
 class TestNonFiniteTraining:
