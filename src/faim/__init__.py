@@ -1,7 +1,7 @@
 """Frequency-aware interactive state-space toolkit for time series
 classification.
 
-The package is self-contained on numpy: its own reverse-mode tape, FFT,
+The package is self-contained on numpy: its own reverse-mode tape, real DFT,
 seeded RNG, and optimizer.  See the README for the architecture tour and
 the command-line entry points.
 """

@@ -1,5 +1,5 @@
-"""Adaptive filtering block: FFT, soft band masks, learnable spectral
-filters, integration, inverse FFT.
+"""Adaptive filtering block: DFT, soft band masks, learnable spectral
+filters, integration, inverse DFT.
 
 Three branches act on the token spectrum: a global filter over the full
 spectrum, a local filter over the high band kept below theta_high, and a

@@ -223,6 +223,7 @@ def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
     base = model_config(cfg)
     variant_cfgs = [dataclasses.replace(base, variant=v) for v in cfg["ablate.variants"]]
     dataset = _load_train(cfg)
+    test = _load_test_like(cfg, dataset_meta(dataset, base))
     lines = ["variant,label,accuracy,macro_f1"]
     summary = {}
     for model_cfg in variant_cfgs:
@@ -231,7 +232,6 @@ def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
         if variant != "no_pretrain" and model_cfg.pretrain_epochs > 0:
             init, _ = pretrain(dataset, model_cfg)
         model, _ = finetune(dataset, model_cfg, init=init)
-        test = _load_test_like(cfg, dataset_meta(dataset, model_cfg))
         _, acc, f1 = evaluate(model, test, cfg["train.batch_size"])
         lines.append(f"{variant},{VARIANT_LABELS[variant]},{repr(acc)},{repr(f1)}")
         summary[f"accuracy_{variant}"] = repr(acc)

@@ -1,15 +1,17 @@
-"""Discrete Fourier machinery, soft frequency-band masks, and a
+"""Real discrete Fourier transforms, soft frequency-band masks, and a
 time-domain circular-convolution oracle.
 
 The transform runs along the token axis: the second-to-last axis for inputs
-shaped [..., tokens, dim], or axis 0 for plain 1-D vectors.  Power-of-two
-lengths use an iterative radix-2 butterfly; every other length falls back to
-a cached direct DFT matrix, which is fine at the token counts seen here.
+shaped [..., tokens, dim], or axis 0 for plain 1-D vectors.  Every length is
+served by two real matmuls against cached [n//2+1, n] cosine and sine tables,
+which act on the token axis in place; at the token counts seen here that is
+cheaper than any fast transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -17,89 +19,55 @@ from .errors import InputError, ShapeError
 from .tensor import COMPLEX, REAL, Tensor, as_tensor, mul, record, reshape, sigmoid, sub
 
 # ---------------------------------------------------------------------------
-# complex FFT core (plain ndarrays, last axis)
+# cached real DFT tables (plain ndarrays, token axis)
 # ---------------------------------------------------------------------------
-
-_REV_CACHE: dict[int, np.ndarray] = {}
-_DFT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _bit_reversal(n: int) -> np.ndarray:
-    perm = _REV_CACHE.get(n)
-    if perm is None:
-        levels = n.bit_length() - 1
-        perm = np.zeros(n, dtype=np.intp)
-        for i in range(1, n):
-            perm[i] = (perm[i >> 1] >> 1) | ((i & 1) << (levels - 1))
-        _REV_CACHE[n] = perm
-    return perm
-
-
-def fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 DFT along the last axis; length must be a power of two."""
-    n = x.shape[-1]
-    if n & (n - 1):
-        raise ShapeError(f"radix-2 transform needs a power-of-two length, got {n}")
-    out = np.asarray(x, dtype=COMPLEX)[..., _bit_reversal(n)].copy()
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = out.reshape(out.shape[:-1] + (n // size, size))
-        even = blocks[..., :half]
-        odd = blocks[..., half:] * twiddle
-        upper = even + odd
-        lower = even - odd
-        blocks[..., :half] = upper
-        blocks[..., half:] = lower
-        size *= 2
-    return out
-
-
-def dft_direct(x: np.ndarray) -> np.ndarray:
-    """Direct O(N^2) DFT along the last axis via a cached coefficient matrix."""
-    n = x.shape[-1]
-    mat = _DFT_CACHE.get(n)
-    if mat is None:
-        k = np.arange(n)
-        mat = np.exp(-2j * np.pi * np.outer(k, k) / n)
-        _DFT_CACHE[n] = mat
-    return np.asarray(x, dtype=COMPLEX) @ mat
-
-
-def fft_full(x: np.ndarray) -> np.ndarray:
-    """Forward DFT along the last axis, choosing the fast path when possible."""
-    n = x.shape[-1]
-    if n >= 2 and not (n & (n - 1)):
-        return fft_radix2(x)
-    return dft_direct(x)
-
-
-def ifft_full(y: np.ndarray) -> np.ndarray:
-    n = y.shape[-1]
-    return np.conj(fft_full(np.conj(y))) / n
 
 
 def _half_bins(n_time: int) -> int:
     return n_time // 2 + 1
 
 
-def _rfft_last(x: np.ndarray) -> np.ndarray:
-    return fft_full(x)[..., : _half_bins(x.shape[-1])]
+def _token_axis(ndim: int) -> int:
+    return 0 if ndim == 1 else ndim - 2
 
 
-def _extend_hermitian(half: np.ndarray, n_time: int) -> np.ndarray:
+@cache
+def _tables(n_time: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cached ``cos`` and ``sin`` of 2*pi*k*t/n as [n//2+1, n] arrays, then
+    both scaled by the inverse weights (1/n at DC and Nyquist, 2/n elsewhere).
+
+    Angles come from ``(k*t) mod n`` and entries at multiples of pi/2 are
+    exactly 0 or +-1, so the sine rows of the DC and (even n) Nyquist bins
+    are exact zeros: their imaginary parts never reach the inverse.
+    """
     k = _half_bins(n_time)
-    tail = np.conj(half[..., 1 : n_time - k + 1][..., ::-1])
-    return np.concatenate([half, tail], axis=-1)
+    phase = np.outer(np.arange(k), np.arange(n_time)) % n_time
+    angle = 2.0 * np.pi * phase / n_time
+    cos, sin = np.cos(angle), np.sin(angle)
+    quarter = (4 * phase) % n_time == 0
+    turns = 4 * phase[quarter] // n_time  # angle = turns * pi/2
+    cos[quarter] = np.array([1.0, 0.0, -1.0, 0.0])[turns]
+    sin[quarter] = np.array([0.0, 1.0, 0.0, -1.0])[turns]
+    # DC and (even n) Nyquist are the bins with 2k = 0 mod n
+    weights = np.where(2 * np.arange(k)[:, None] % n_time == 0, 1.0, 2.0) / n_time
+    return cos, sin, weights * cos, weights * sin
 
 
-def _irfft_last(half: np.ndarray, n_time: int) -> np.ndarray:
-    # Imaginary parts of the DC (and Nyquist, for even lengths) bins do not
-    # influence the real reconstruction: they invert to purely imaginary
-    # sequences that the final real-part projection removes.
-    full = _extend_hermitian(half, n_time)
-    return np.ascontiguousarray(ifft_full(full).real)
+def _analysis(cos: np.ndarray, sin: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``cos @ x - 1j * (sin @ x)``, written straight into one complex array."""
+    shape = list(x.shape)
+    shape[_token_axis(x.ndim)] = cos.shape[0]
+    out = np.empty(shape, dtype=COMPLEX)
+    np.matmul(cos, x, out=out.real)
+    np.matmul(-sin, x, out=out.imag)
+    return out
+
+
+def _synthesis(cos: np.ndarray, sin: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_analysis`: ``cos.T @ bins.real - sin.T @ bins.imag``."""
+    out = cos.T @ bins.real
+    out -= sin.T @ bins.imag
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +83,7 @@ class Spectrum:
     n_time: int
 
     def __post_init__(self):
-        axis = 0 if self.bins.ndim == 1 else self.bins.ndim - 2
+        axis = _token_axis(self.bins.ndim)
         if self.bins.shape[axis] != _half_bins(self.n_time):
             raise ShapeError(
                 f"{self.bins.shape[axis]} bins inconsistent with n_time={self.n_time}"
@@ -137,51 +105,22 @@ class BandMask:
 # ---------------------------------------------------------------------------
 
 
-def _token_axis(ndim: int) -> int:
-    return 0 if ndim == 1 else ndim - 2
-
-
 def rfft(x: Tensor) -> Spectrum:
     """Real-input DFT along the token axis, keeping the non-redundant half."""
     if x.is_complex:
         raise TypeError("rfft expects a real tensor")
-    axis = _token_axis(x.ndim)
-    n_time = x.shape[axis]
-    moved = np.moveaxis(x.data, axis, -1)
-    half = np.moveaxis(_rfft_last(moved), -1, axis)
-    out = Tensor(half)
-
-    def rule(gs):
-        g = np.moveaxis(gs[0], axis, -1)
-        pad = np.zeros(g.shape[:-1] + (n_time - g.shape[-1],), dtype=COMPLEX)
-        g_full = np.concatenate([np.conj(g), pad], axis=-1)
-        dx = np.ascontiguousarray(fft_full(g_full).real)
-        return (np.moveaxis(dx, -1, axis),)
-
-    record((x,), (out,), rule)
+    n_time = x.shape[_token_axis(x.ndim)]
+    cos, sin, _, _ = _tables(n_time)
+    out = Tensor(_analysis(cos, sin, x.data))
+    record((x,), (out,), lambda gs: (_synthesis(cos, sin, gs[0]),))
     return Spectrum(out, n_time)
 
 
 def irfft(s: Spectrum) -> Tensor:
     """Inverse of :func:`rfft`; recovers exactly ``n_time`` real tokens."""
-    bins = s.bins
-    n_time = s.n_time
-    axis = _token_axis(bins.ndim)
-    moved = np.moveaxis(bins.data, axis, -1)
-    x = np.moveaxis(_irfft_last(moved, n_time), -1, axis)
-    out = Tensor(x)
-    k = _half_bins(n_time)
-
-    def rule(gs):
-        g = np.moveaxis(gs[0], axis, -1).astype(COMPLEX)
-        spec = fft_full(g)[..., :k]
-        weights = np.full(k, 2.0 / n_time)
-        weights[0] = 1.0 / n_time
-        if n_time % 2 == 0:
-            weights[-1] = 1.0 / n_time
-        return (np.moveaxis(spec * weights, -1, axis),)
-
-    record((bins,), (out,), rule)
+    _, _, wcos, wsin = _tables(s.n_time)
+    out = Tensor(_synthesis(wcos, wsin, s.bins.data))
+    record((s.bins,), (out,), lambda gs: (_analysis(wcos, wsin, gs[0]),))
     return out
 
 

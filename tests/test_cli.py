@@ -415,6 +415,37 @@ class TestPipeline:
         assert trained == []
         assert not (root / "ab3" / "report.csv").exists()
 
+    def test_ablate_rejects_a_bad_test_split_before_training(self, pipeline, capsys, monkeypatch):
+        root, train, _ = pipeline
+        trained = []
+        for stage in ("pretrain", "finetune"):
+            monkeypatch.setattr(f"faim.cli.{stage}", lambda *a, stage=stage, **k: trained.append(stage))
+        bad = root / "bad-test.tsv"
+        bad.write_text("a\t1.0\tnot-a-number\n")
+        rc = main(
+            ["ablate", "--run.dir", str(root), "--run.name", "ab4",
+             "--data.train", train, "--data.test", str(bad), *SMALL]
+        )
+        assert rc == 1
+        assert f"{bad} line 1" in capsys.readouterr().err
+        assert trained == []
+
+    def test_ablate_reads_the_test_split_once(self, pipeline, monkeypatch):
+        root, train, test = pipeline
+        from faim import data
+
+        reads = []
+        load = data.load_univariate
+        monkeypatch.setattr(data, "load_univariate", lambda path: reads.append(path) or load(path))
+        rc = main(
+            ["ablate", "--run.dir", str(root), "--run.name", "ab5",
+             "--data.train", train, "--data.test", test,
+             "--variants", "full,no_afb,no_imb",
+             *SMALL, "--train.finetune_epochs", "1"]
+        )
+        assert rc == 0
+        assert reads.count(test) == 1
+
     def test_finetune_init_rejects_a_different_model_setting(self, pipeline, capsys):
         root, train, _ = pipeline
         rc = main(

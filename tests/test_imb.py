@@ -10,7 +10,6 @@ from faim import imb
 from faim.errors import ShapeError
 from faim.gradcheck import finite_diff_check
 from faim.imb import (
-    ImbParams,
     _scan_primitive,
     discretize,
     imb_branch,

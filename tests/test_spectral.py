@@ -1,4 +1,4 @@
-"""FFT core, half-spectrum transforms, band masks, circular convolution."""
+"""DFT core, half-spectrum transforms, band masks, circular convolution."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,6 @@ from faim.spectral import (
     apply_mask,
     band_mask,
     circular_convolve,
-    dft_direct,
-    fft_full,
-    fft_radix2,
-    ifft_full,
     irfft,
     rfft,
 )
@@ -32,57 +28,64 @@ def naive_dft(x):
     return out
 
 
+def half_spectrum_weights(n):
+    """Interior bins count twice; DC and (even n) Nyquist count once."""
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
+def real_signal_spectrum(rng, n):
+    """Random half-spectrum of a real signal: DC and (even n) Nyquist are real."""
+    k = n // 2 + 1
+    bins = rng.normal(size=k) + 1j * rng.normal(size=k)
+    bins[0] = bins[0].real
+    if n % 2 == 0:
+        bins[-1] = bins[-1].real
+    return bins
+
+
 class TestFftCore:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 12, 16, 31, 64])
     def test_matches_naive_loop(self, n):
         rng = np.random.default_rng(n)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        np.testing.assert_allclose(fft_full(x), naive_dft(x), atol=1e-9)
-
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
-    def test_radix2_agrees_with_direct(self, n):
-        rng = np.random.default_rng(n + 100)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        np.testing.assert_allclose(fft_radix2(x), dft_direct(x), atol=1e-10)
-
-    def test_radix2_rejects_non_power_of_two(self):
-        with pytest.raises(ShapeError):
-            fft_radix2(np.ones(6, dtype=np.complex128))
+        x = rng.normal(size=n)
+        np.testing.assert_allclose(
+            rfft(Tensor(x)).bins.data, naive_dft(x)[: n // 2 + 1], atol=1e-9
+        )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 10, 16, 27, 64])
     def test_inverse_round_trip(self, n):
-        rng = np.random.default_rng(n + 200)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        np.testing.assert_allclose(ifft_full(fft_full(x)), x, atol=1e-12)
+        # spectrum -> tokens -> spectrum
+        bins = real_signal_spectrum(np.random.default_rng(n + 200), n)
+        y = irfft(Spectrum(Tensor(bins), n_time=n))
+        np.testing.assert_allclose(rfft(y).bins.data, bins, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 8, 17, 32])
     def test_parseval(self, n):
-        rng = np.random.default_rng(n + 300)
-        x = rng.normal(size=n)
-        time_energy = np.sum(np.abs(x) ** 2)
-        freq_energy = np.sum(np.abs(fft_full(x.astype(np.complex128))) ** 2) / n
-        np.testing.assert_allclose(time_energy, freq_energy, rtol=1e-12)
+        # energy of the inverse equals the weighted half-spectrum energy / n
+        bins = real_signal_spectrum(np.random.default_rng(n + 300), n)
+        y = irfft(Spectrum(Tensor(bins), n_time=n)).data
+        freq_energy = np.sum(half_spectrum_weights(n) * np.abs(bins) ** 2) / n
+        np.testing.assert_allclose(np.sum(y**2), freq_energy, rtol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 9, 16, 17])
     def test_parseval_half_spectrum_weights(self, n):
-        # interior bins count twice; DC and (even n) Nyquist count once
         rng = np.random.default_rng(n + 400)
         x = rng.normal(size=n)
         bins = rfft(Tensor(x)).bins.data
-        weights = np.full(len(bins), 2.0)
-        weights[0] = 1.0
-        if n % 2 == 0:
-            weights[-1] = 1.0
-        freq_energy = np.sum(weights * np.abs(bins) ** 2) / n
+        freq_energy = np.sum(half_spectrum_weights(n) * np.abs(bins) ** 2) / n
         np.testing.assert_allclose(np.sum(x**2), freq_energy, atol=1e-8)
 
     def test_linearity(self):
         rng = np.random.default_rng(42)
-        x = rng.normal(size=16).astype(np.complex128)
-        y = rng.normal(size=16).astype(np.complex128)
+        x = rng.normal(size=16)
+        y = rng.normal(size=16)
         np.testing.assert_allclose(
-            fft_full(2.0 * x + 3.0 * y),
-            2.0 * fft_full(x) + 3.0 * fft_full(y),
+            rfft(Tensor(2.0 * x + 3.0 * y)).bins.data,
+            2.0 * rfft(Tensor(x)).bins.data + 3.0 * rfft(Tensor(y)).bins.data,
             atol=1e-12,
         )
 
@@ -164,9 +167,18 @@ class TestRfft:
 
         def f(x):
             y = irfft(rfft(x))
-            return tsum(mul(y, Tensor(np.arange(8.0))))
+            return tsum(mul(y, Tensor(np.arange(1.0, 9.0))))
 
         assert finite_diff_check(f, Tensor(x0)) < 1e-4
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 16, 64])
+    def test_imaginary_dc_and_nyquist_invert_to_exact_zero(self, n):
+        bins = np.zeros(n // 2 + 1, dtype=np.complex128)
+        bins[0] = 3.7j
+        if n % 2 == 0:
+            bins[-1] = -1.3j  # only even lengths have a Nyquist bin
+        y = irfft(Spectrum(Tensor(bins), n_time=n))
+        np.testing.assert_array_equal(y.data, np.zeros(n))
 
 
 class TestBandMask:
