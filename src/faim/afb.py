@@ -47,8 +47,8 @@ class AfbParams:
     theta_high: Tensor
     theta_low: Tensor
     psi_global: PsiFilter
-    psi_high_local: PsiFilter
-    psi_low_local: PsiFilter
+    psi_high: PsiFilter
+    psi_low: PsiFilter
     tau: float = 0.02
 
 
@@ -89,8 +89,8 @@ def init_afb_params(
         theta_high=parameter(theta_high),
         theta_low=parameter(theta_low),
         psi_global=init_psi_filter(dim, rng.spawn("psi_global")),
-        psi_high_local=init_psi_filter(dim, rng.spawn("psi_high")),
-        psi_low_local=init_psi_filter(dim, rng.spawn("psi_low")),
+        psi_high=init_psi_filter(dim, rng.spawn("psi_high")),
+        psi_low=init_psi_filter(dim, rng.spawn("psi_low")),
         tau=tau,
     )
 
@@ -136,10 +136,10 @@ def afb_forward(
         acts.high = apply_mask(acts.spectrum, acts.mask_high)
         acts.low = apply_mask(acts.spectrum, acts.mask_low)
     if use_high:
-        acts.branch_high = psi_apply(params.psi_high_local, acts.high)
+        acts.branch_high = psi_apply(params.psi_high, acts.high)
         integrated_bins = add(integrated_bins, acts.branch_high.bins)
     if use_low:
-        acts.branch_low = psi_apply(params.psi_low_local, acts.low)
+        acts.branch_low = psi_apply(params.psi_low, acts.low)
         integrated_bins = add(integrated_bins, acts.branch_low.bins)
 
     acts.integrated = Spectrum(integrated_bins, acts.spectrum.n_time)

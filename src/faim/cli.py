@@ -20,20 +20,8 @@ from . import data as data_io
 from .config import format_echo, model_config, resolve_config
 from .errors import FaimError, InputError
 from .metrics import accuracy_and_macro_f1
-from .model import load_checkpoint
+from .model import VARIANT_LABELS, load_checkpoint
 from .training import TrainReport, dataset_meta, evaluate, finetune, predict_dataset, pretrain
-
-COMMANDS = ("pretrain", "finetune", "eval", "noise-bench", "ablate", "synth")
-
-VARIANT_LABELS = {
-    "full": "FAIM",
-    "no_afb": "w/o AFB",
-    "no_hf": "w/o HF",
-    "no_lf": "w/o LF",
-    "no_hf_lf": "w/o HF+LF",
-    "no_imb": "w/o IMB",
-    "no_pretrain": "w/o Pretrain",
-}
 
 USAGE = """usage: faim <command> [--config FILE] [--key value ...]
 
@@ -145,14 +133,14 @@ def _cmd_synth(cfg: dict, out_dir: Path) -> None:
     _write(out_dir / "summary", summary)
 
 
-def _maybe_test_metrics(cfg: dict, model, train_meta: dict, report: TrainReport) -> None:
-    if not cfg["data.test"]:
-        return
-    test = _load_test_like(cfg, train_meta)
+def _score_test(cfg: dict, model, meta: dict, report: TrainReport) -> float:
+    """Add the test split's row and metrics to ``report``; returns the test loss."""
+    test = _load_test_like(cfg, meta)
     loss, acc, f1 = evaluate(model, test, cfg["train.batch_size"])
     report.add(0, "test", loss, acc, f1, 0.0)
     report.summary["test_accuracy"] = repr(acc)
     report.summary["test_macro_f1"] = repr(f1)
+    return loss
 
 
 def _cmd_pretrain(cfg: dict, out_dir: Path) -> None:
@@ -178,7 +166,8 @@ def _cmd_finetune(cfg: dict, out_dir: Path) -> None:
     model, report = finetune(
         dataset, model_cfg, init=init, checkpoint_path=str(out_dir / "checkpoint")
     )
-    _maybe_test_metrics(cfg, model, dataset_meta(dataset, model_cfg), report)
+    if cfg["data.test"]:
+        _score_test(cfg, model, dataset_meta(dataset, model_cfg), report)
     report.summary["wall_seconds"] = f"{time.perf_counter() - started:.3f}"
     _write(out_dir / "report.csv", report.to_csv(include_timing=False))
     _write(out_dir / "summary", report.summary_text())
@@ -188,13 +177,8 @@ def _cmd_eval(cfg: dict, out_dir: Path) -> None:
     if not cfg["eval.checkpoint"]:
         raise InputError("eval needs --eval.checkpoint pointing at a trained model")
     model, meta = load_checkpoint(cfg["eval.checkpoint"])
-    test = _load_test_like(cfg, meta)
-    loss, acc, f1 = evaluate(model, test, cfg["train.batch_size"])
     report = TrainReport()
-    report.add(0, "test", loss, acc, f1, 0.0)
-    report.summary["test_accuracy"] = repr(acc)
-    report.summary["test_macro_f1"] = repr(f1)
-    report.summary["test_loss"] = repr(loss)
+    report.summary["test_loss"] = repr(_score_test(cfg, model, meta, report))
     _write(out_dir / "report.csv", report.to_csv(include_timing=False))
     _write(out_dir / "summary", report.summary_text())
 
@@ -205,16 +189,16 @@ def _cmd_noise_bench(cfg: dict, out_dir: Path) -> None:
     model, meta = load_checkpoint(cfg["eval.checkpoint"])
     test = _load_test_like(cfg, meta)
     lines = ["sigma,accuracy,macro_f1"]
-    summary = {}
+    report = TrainReport()
     for sigma in cfg["noise.sigmas"]:
         noisy = data_io.add_gaussian_noise(test, sigma, cfg["train.seed"])
         preds = predict_dataset(model, noisy, cfg["train.batch_size"])
         _, labels = noisy.arrays()
         acc, f1 = accuracy_and_macro_f1(preds, labels, noisy.n_classes)
         lines.append(f"{repr(float(sigma))},{repr(acc)},{repr(f1)}")
-        summary[f"accuracy_at_{format(sigma, 'g')}"] = repr(acc)
+        report.summary[f"accuracy_at_{format(sigma, 'g')}"] = repr(acc)
     _write(out_dir / "report.csv", "\n".join(lines) + "\n")
-    _write(out_dir / "summary", "\n".join(f"{k}={summary[k]}" for k in sorted(summary)) + "\n")
+    _write(out_dir / "summary", report.summary_text())
 
 
 def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
@@ -225,7 +209,7 @@ def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
     dataset = _load_train(cfg)
     test = _load_test_like(cfg, dataset_meta(dataset, base))
     lines = ["variant,label,accuracy,macro_f1"]
-    summary = {}
+    report = TrainReport()
     for model_cfg in variant_cfgs:
         variant = model_cfg.variant
         init = None
@@ -234,25 +218,25 @@ def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
         model, _ = finetune(dataset, model_cfg, init=init)
         _, acc, f1 = evaluate(model, test, cfg["train.batch_size"])
         lines.append(f"{variant},{VARIANT_LABELS[variant]},{repr(acc)},{repr(f1)}")
-        summary[f"accuracy_{variant}"] = repr(acc)
+        report.summary[f"accuracy_{variant}"] = repr(acc)
     _write(out_dir / "report.csv", "\n".join(lines) + "\n")
-    _write(out_dir / "summary", "\n".join(f"{k}={summary[k]}" for k in sorted(summary)) + "\n")
+    _write(out_dir / "summary", report.summary_text())
 
 
 _DISPATCH = {
-    "synth": _cmd_synth,
     "pretrain": _cmd_pretrain,
     "finetune": _cmd_finetune,
     "eval": _cmd_eval,
     "noise-bench": _cmd_noise_bench,
     "ablate": _cmd_ablate,
+    "synth": _cmd_synth,
 }
 
 
 def run(command: str, cfg: dict) -> int:
     """Execute one command against a resolved config; returns the exit code."""
-    if command not in COMMANDS:
-        raise InputError(f"unknown command {command!r}; choose one of {', '.join(COMMANDS)}")
+    if command not in _DISPATCH:
+        raise InputError(f"unknown command {command!r}; choose one of {', '.join(_DISPATCH)}")
     with _RunDirectory(cfg, command) as out_dir:
         _write(out_dir / "config.echo", format_echo(cfg))
         _DISPATCH[command](cfg, out_dir)

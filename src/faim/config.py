@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from .errors import ConfigError
-from .model import CONFIG_SECTION, FaimConfig
+from .model import CONFIG_SECTION, VARIANTS, FaimConfig
 
 
 def _format(kind: str, value) -> str:
@@ -41,7 +41,7 @@ REGISTRY: dict[str, tuple[str, str]] = {
     "finetune.init": ("str", ""),
     "eval.checkpoint": ("str", ""),
     "noise.sigmas": ("floats", "0.0,0.2,0.5,1.0"),
-    "ablate.variants": ("strs", "full,no_afb,no_hf,no_lf,no_hf_lf,no_imb,no_pretrain"),
+    "ablate.variants": ("strs", ",".join(VARIANTS)),
     "synth.kind": ("str", "freq"),
     "synth.n_per_class": ("int", "100"),
     "synth.t": ("int", "128"),

@@ -58,11 +58,19 @@ class SeriesDataset:
         )
 
 
-def _pad_tail(values: np.ndarray, target: int) -> np.ndarray:
+def pad_tail(values: np.ndarray, target: int) -> np.ndarray:
     if values.shape[-1] == target:
         return values
     fill = np.repeat(values[..., -1:], target - values.shape[-1], axis=-1)
     return np.concatenate([values, fill], axis=-1)
+
+
+def open_input(path: str, mode: str = "r"):
+    """``open(path, mode)``; a file that cannot be opened is an InputError naming it."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
 
 
 def _remap_labels(raw_labels: list[str]) -> tuple[list[int], dict[str, int]]:
@@ -82,7 +90,7 @@ def _remap_labels(raw_labels: list[str]) -> tuple[list[int], dict[str, int]]:
 
 def load_univariate(path: str) -> SeriesDataset:
     """Delimited text, one line per sample: label, then T values."""
-    with open(path) as fh:
+    with open_input(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines:
         raise InputError(f"{path} contains no samples")
@@ -110,7 +118,7 @@ def load_univariate(path: str) -> SeriesDataset:
     t_max = max(row.shape[0] for row in rows)
     if any(row.shape[0] != t_max for row in rows):
         warnings.warn(f"{path}: ragged rows padded to length {t_max} by last-value replication")
-        rows = [_pad_tail(row, t_max) for row in rows]
+        rows = [pad_tail(row, t_max) for row in rows]
     labels, mapping = _remap_labels(raw_labels)
     samples = [(row[None, :], label) for row, label in zip(rows, labels)]
     return SeriesDataset(samples, len(mapping), 1, t_max, mapping)
@@ -145,7 +153,7 @@ def load_multivariate(path: str) -> SeriesDataset:
     """JSON lines with fields "label" and "series" (per-channel lists)."""
     raw_labels: list[str] = []
     series_list: list[np.ndarray] = []
-    with open(path) as fh:
+    with open_input(path) as fh:
         for rec_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -188,7 +196,7 @@ def load_multivariate(path: str) -> SeriesDataset:
                 f"{path} record {rec_no}: has {series.shape[0]} channels, expected {n_channels}"
             )
     t_max = max(series.shape[1] for series in series_list)
-    series_list = [_pad_tail(series, t_max) for series in series_list]
+    series_list = [pad_tail(series, t_max) for series in series_list]
     labels, mapping = _remap_labels(raw_labels)
     samples = list(zip(series_list, labels))
     return SeriesDataset(samples, len(mapping), n_channels, t_max, mapping)

@@ -11,19 +11,29 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .afb import AfbParams, LayerActivations, afb_forward, init_afb_params
-from .data import write_atomic
+from .data import open_input, pad_tail, write_atomic
 from .errors import ConfigError, InputError, ShapeError
 from .imb import ImbParams, imb_forward, init_imb_params
 from .nn import layer_norm, linear
 from .rng import CounterRng, derive_seed
 from .tensor import Tensor, add, mul, narrow, parameter, reshape, tmean
 
-VARIANTS = ("full", "no_afb", "no_hf", "no_lf", "no_hf_lf", "no_imb", "no_pretrain")
+# Every model variant, with its label in ablation reports.
+VARIANT_LABELS = {
+    "full": "FAIM",
+    "no_afb": "w/o AFB",
+    "no_hf": "w/o HF",
+    "no_lf": "w/o LF",
+    "no_hf_lf": "w/o HF+LF",
+    "no_imb": "w/o IMB",
+    "no_pretrain": "w/o Pretrain",
+}
+VARIANTS = tuple(VARIANT_LABELS)
 
 
 @dataclass
@@ -113,71 +123,25 @@ class FaimModel:
     recon_b: Tensor = None
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """Stable, duplicate-free (name, tensor) list covering the model."""
-        out = [
-            ("embed.w", self.embed_w),
-            ("embed.b", self.embed_b),
-            ("pos_emb", self.pos_emb),
-            ("mask_token", self.mask_token),
-        ]
-        for i, layer in enumerate(self.layers):
-            p = f"layers.{i}"
-            afb = layer.afb
-            out += [(f"{p}.afb.theta_high", afb.theta_high), (f"{p}.afb.theta_low", afb.theta_low)]
-            for tag, psi in (
-                ("psi_global", afb.psi_global),
-                ("psi_high", afb.psi_high_local),
-                ("psi_low", afb.psi_low_local),
-            ):
-                out += [
-                    (f"{p}.afb.{tag}.w1", psi.w1),
-                    (f"{p}.afb.{tag}.b1", psi.b1),
-                    (f"{p}.afb.{tag}.w2", psi.w2),
-                    (f"{p}.afb.{tag}.b2", psi.b2),
-                ]
-            imb = layer.imb
-            out += [
-                (f"{p}.imb.in_w_1", imb.in_w_1),
-                (f"{p}.imb.in_b_1", imb.in_b_1),
-                (f"{p}.imb.in_w_2", imb.in_w_2),
-                (f"{p}.imb.in_b_2", imb.in_b_2),
-                (f"{p}.imb.gate_w", imb.gate_w),
-                (f"{p}.imb.gate_b", imb.gate_b),
-                (f"{p}.imb.conv_1", imb.conv_1),
-                (f"{p}.imb.conv_1_bias", imb.conv_1_bias),
-                (f"{p}.imb.conv_2", imb.conv_2),
-                (f"{p}.imb.conv_2_bias", imb.conv_2_bias),
-            ]
-            for tag, ssm in (("ssm_1", imb.ssm_1), ("ssm_2", imb.ssm_2)):
-                out += [
-                    (f"{p}.imb.{tag}.a_log", ssm.a_log),
-                    (f"{p}.imb.{tag}.w_b", ssm.w_b),
-                    (f"{p}.imb.{tag}.w_c", ssm.w_c),
-                    (f"{p}.imb.{tag}.w_delta", ssm.w_delta),
-                    (f"{p}.imb.{tag}.delta_bias", ssm.delta_bias),
-                ]
-            out += [
-                (f"{p}.imb.ln_1_gamma", imb.ln_1_gamma),
-                (f"{p}.imb.ln_1_beta", imb.ln_1_beta),
-                (f"{p}.imb.ln_2_gamma", imb.ln_2_gamma),
-                (f"{p}.imb.ln_2_beta", imb.ln_2_beta),
-                (f"{p}.imb.conv_3", imb.conv_3),
-                (f"{p}.imb.conv_3_bias", imb.conv_3_bias),
-                (f"{p}.imb.out_w", imb.out_w),
-                (f"{p}.imb.out_b", imb.out_b),
-                (f"{p}.ln_gamma", layer.ln_gamma),
-                (f"{p}.ln_beta", layer.ln_beta),
-            ]
-        out += [
-            ("cls.w", self.cls_w),
-            ("cls.b", self.cls_b),
-            ("recon.w", self.recon_w),
-            ("recon.b", self.recon_b),
-        ]
-        return out
+        """(attribute path, tensor) of every parameter, in declaration order."""
+        return list(_named_tensors(self))
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
+
+
+def _named_tensors(value, prefix: str = ""):
+    """Every Tensor reachable from ``value`` through dataclass fields and list
+    items, in declaration order, named by its path of field names and list
+    indices (``layers.0.afb.theta_high``).  Other values are skipped."""
+    if isinstance(value, Tensor):
+        yield prefix[:-1], value
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _named_tensors(item, f"{prefix}{i}.")
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from _named_tensors(getattr(value, f.name), f"{prefix}{f.name}.")
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +222,7 @@ def patchify(x, b: int, stride: int) -> np.ndarray:
     if t < 1:
         raise InputError("cannot patchify an empty series")
     padded = padded_length(t, b, stride)
-    if padded > t:
-        fill = np.repeat(x[..., -1:], padded - t, axis=-1)
-        x = np.concatenate([x, fill], axis=-1)
+    x = pad_tail(x, padded)
     z = (padded - b) // stride + 1
     starts = np.arange(z) * stride
     return x[..., starts[:, None] + np.arange(b)]
@@ -402,7 +364,7 @@ def save_checkpoint(model: FaimModel, path: str, meta: dict | None = None) -> No
 
 def load_checkpoint(path: str) -> tuple[FaimModel, dict]:
     """Rebuild a model from a checkpoint; a damaged file raises InputError naming it."""
-    with open(path, "rb") as fh:
+    with open_input(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(MAGIC)] != MAGIC:
         raise InputError(f"{path} is not a model checkpoint (bad magic)")
@@ -420,8 +382,15 @@ def load_checkpoint(path: str) -> tuple[FaimModel, dict]:
         raise InputError(f"{path} has an unreadable header: {type(exc).__name__}: {exc}") from exc
     model = build_model(config, *geometry)
     by_name = dict(model.named_parameters())
-    if set(by_name) != {name for name, _, _ in manifest}:
-        raise InputError(f"{path} parameter manifest does not match the rebuilt model")
+    in_file = {name for name, _, _ in manifest}
+    unknown = [name for name, _, _ in manifest if name not in by_name]
+    missing = [name for name in by_name if name not in in_file]
+    if unknown or missing:
+        raise InputError(
+            f"{path} parameter manifest does not match the rebuilt model "
+            f"(first unknown name: {next(iter(unknown), 'none')}; "
+            f"first missing name: {next(iter(missing), 'none')})"
+        )
     n_values = sum(tensor.data.size for tensor in by_name.values())
     if len(raw) - blob_start != 8 * n_values:
         raise InputError(

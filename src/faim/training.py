@@ -230,10 +230,6 @@ def _restore(model: FaimModel, snapshot: list[np.ndarray]) -> None:
         tensor.data = data.copy()
 
 
-def _grad_list(model: FaimModel, grads: dict) -> list:
-    return [grads.get(t) for t in model.parameters()]
-
-
 def _check_loss(loss: float, stage: str, epoch: int, step: int) -> None:
     if not math.isfinite(loss):
         raise NonFiniteError(f"{stage} epoch {epoch} step {step}: the training loss is {loss!r}")
@@ -265,6 +261,7 @@ def pretrain(
         raise InputError("cannot pretrain on an empty dataset")
     x, _ = dataset.arrays()
     model = build_model(config, dataset.n_classes, dataset.n_channels, dataset.series_len)
+    params = model.parameters()
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
     shuffle_rng = CounterRng(derive_seed(config.seed, "pretrain-shuffle"))
     report = TrainReport()
@@ -286,7 +283,7 @@ def pretrain(
                 loss = masked_mse(reference_patches(xb, model), recon, plan.lam)
             _check_loss(loss.item(), "pretrain", epoch, step + 1)
             grads = backward(tape, loss)
-            adamw_step(model.parameters(), _grad_list(model, grads), opt)
+            adamw_step(params, [grads.get(t) for t in params], opt)
             epoch_loss += loss.item() * len(xb)
         _check_parameters(model, "pretrain", epoch, step + 1)
         epoch_loss /= len(x)
@@ -340,6 +337,7 @@ def finetune(
         model = init
         model.config = config
     x, y = train_set.arrays()
+    params = model.parameters()
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
     shuffle_rng = CounterRng(derive_seed(config.seed, "finetune-shuffle"))
     report = TrainReport()
@@ -357,7 +355,7 @@ def finetune(
                 loss = batch_label_smoothed_ce(logits, y[idx], config.label_smooth_eps)
             _check_loss(loss.item(), "finetune", epoch, step + 1)
             grads = backward(tape, loss)
-            adamw_step(model.parameters(), _grad_list(model, grads), opt)
+            adamw_step(params, [grads.get(t) for t in params], opt)
             epoch_loss += loss.item() * len(idx)
         _check_parameters(model, "finetune", epoch, step + 1)
         epoch_loss /= len(x)

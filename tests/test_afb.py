@@ -128,8 +128,8 @@ class TestAfbForward:
     def test_identity_global_with_zeroed_locals_is_identity(self):
         params = self._params(3, seed=2)
         make_identity_psi(params.psi_global)
-        make_zero_psi(params.psi_high_local)
-        make_zero_psi(params.psi_low_local)
+        make_zero_psi(params.psi_high)
+        make_zero_psi(params.psi_low)
         x = np.random.default_rng(2).normal(size=(8, 3))
         with Tape():
             out, _ = afb_forward(Tensor(x), params)
@@ -139,7 +139,7 @@ class TestAfbForward:
         # equal thresholds make keep-below + keep-above gates sum to one at
         # every bin, so three identity filters integrate to twice the spectrum
         params = self._params(3, seed=2, theta_high=0.25, theta_low=0.25, tau=0.05)
-        for psi in (params.psi_global, params.psi_high_local, params.psi_low_local):
+        for psi in (params.psi_global, params.psi_high, params.psi_low):
             make_identity_psi(psi)
         x = np.random.default_rng(2).normal(size=(8, 3))
         with Tape():
@@ -152,7 +152,7 @@ class TestAfbForward:
         x = np.sin(2 * np.pi * t / 16)[:, None]
         params = self._params(1, seed=3, theta_high=0.2, theta_low=0.05, tau=1e-3)
         make_zero_psi(params.psi_global)
-        make_identity_psi(params.psi_high_local)
+        make_identity_psi(params.psi_high)
         with Tape():
             out, acts = afb_forward(Tensor(x), params, use_low=False)
         np.testing.assert_allclose(acts.mask_high.values.data[1], 1.0, atol=1e-8)
@@ -175,8 +175,8 @@ class TestAfbForward:
         params = self._params(2, seed=4, theta_high=0.55, theta_low=-0.1, tau=1e-3)
         params = dataclasses.replace(
             params,
-            psi_high_local=params.psi_global,
-            psi_low_local=params.psi_global,
+            psi_high=params.psi_global,
+            psi_low=params.psi_global,
         )
         x = np.random.default_rng(4).normal(size=(8, 2))
         with Tape():
@@ -213,8 +213,8 @@ class TestAfbForward:
         s_hi, s_lo = s * m_hi, s * m_lo
         integrated = (
             psi_values_np(params.psi_global, s) * s
-            + psi_values_np(params.psi_high_local, s_hi) * s_hi
-            + psi_values_np(params.psi_low_local, s_lo) * s_lo
+            + psi_values_np(params.psi_high, s_hi) * s_hi
+            + psi_values_np(params.psi_low, s_lo) * s_lo
         )
         expected = np.fft.irfft(integrated, n=z, axis=0)
         np.testing.assert_allclose(out.data, expected, atol=1e-8)

@@ -221,6 +221,25 @@ class TestExitCodes:
         assert f"{path} has an unreadable header" in err and "literal_cross_pairing" in err
 
     @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("finetune", ["--data.train"]),
+            ("finetune", ["--data.format", "multivariate", "--data.train"]),
+            ("eval", ["--eval.checkpoint"]),
+        ],
+        ids=["tsv", "jsonl", "checkpoint"],
+    )
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_file_is_an_input_error(self, tmp_path, capsys, command, flags, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        rc = main([command, "--run.dir", str(tmp_path), "--run.name", "r", *flags, str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"cannot read {path}" in err and "internal error" not in err
+
+    @pytest.mark.parametrize(
         "name, text, fmt, where",
         [
             ("u.tsv", "0\t1.0\t2.0\n1\t3.0\tInfinity\n", "univariate", "line 2, column 3: 'Infinity' is not finite"),
@@ -269,7 +288,7 @@ class TestExitCodes:
     def test_non_finite_training_exits_1_before_writing_results(self, tmp_path, capsys):
         assert main(synth_args(tmp_path, "synth")) == 0
         model = build_model(FaimConfig(patch_len=4, embed_dim=8, n_layers=1, ssm_state=4), 2, 1, 16)
-        dict(model.named_parameters())["cls.w"].data[0] = np.nan
+        dict(model.named_parameters())["cls_w"].data[0] = np.nan
         init = str(tmp_path / "nan.ckpt")
         save_checkpoint(model, init)
         capsys.readouterr()
@@ -289,15 +308,14 @@ class TestExitCodes:
         assert rc == 1
         assert "already claimed" in capsys.readouterr().err
 
-    def test_internal_errors_exit_2(self, tmp_path, capsys):
-        # a directory where a data file should be is not a config mistake the
-        # resolver can catch, so it surfaces as an internal error
-        rc = main(
-            ["finetune", "--run.dir", str(tmp_path), "--run.name", "f",
-             "--data.train", str(tmp_path)]
-        )
-        assert rc == 2
-        assert "internal error" in capsys.readouterr().err
+    def test_internal_errors_exit_2(self, tmp_path, capsys, monkeypatch):
+        # an exception that is not a FaimError is a defect of the program
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("faim.cli.data_io.make_synthetic_freq_dataset", fail)
+        assert main(synth_args(tmp_path, "s")) == 2
+        assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

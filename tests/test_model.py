@@ -205,7 +205,7 @@ class TestForward:
         # each layer then reduces to layer_norm of its input
         model = build_model(tiny_config(), 2, 1, 16)
         layer = model.layers[0]
-        for psi in (layer.afb.psi_global, layer.afb.psi_high_local, layer.afb.psi_low_local):
+        for psi in (layer.afb.psi_global, layer.afb.psi_high, layer.afb.psi_low):
             psi.w2.data[:] = 0.0
             psi.b2.data[:] = 0.0
         layer.imb.out_w.data[:] = 0.0
@@ -353,19 +353,46 @@ class TestCheckpoint:
         with pytest.raises(InputError):
             load_checkpoint(str(path))
 
-    def test_tampered_manifest_rejected(self, tmp_path):
-        model = build_model(tiny_config(seed=6), 2, 1, 16)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, str(path))
+    @staticmethod
+    def _rename_in_manifest(path, renames):
         raw = path.read_bytes()
         header_len = int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 8], "little")
         start = len(MAGIC) + 8
         header = json.loads(raw[start : start + header_len].decode())
-        header["params"][0]["name"] = "no.such.parameter"
+        for entry in header["params"]:
+            entry["name"] = renames.get(entry["name"], entry["name"])
         encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         path.write_bytes(MAGIC + len(encoded).to_bytes(8, "little") + encoded + raw[start + header_len :])
-        with pytest.raises(InputError):
+
+    def test_tampered_manifest_rejected(self, tmp_path):
+        model = build_model(tiny_config(seed=6), 2, 1, 16)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path))
+        self._rename_in_manifest(path, {"layers.0.imb.ssm_2.w_c": "no.such.parameter"})
+        with pytest.raises(
+            InputError,
+            match="first unknown name: no.such.parameter; first missing name: layers.0.imb.ssm_2.w_c",
+        ):
             load_checkpoint(str(path))
+
+    def test_dotted_head_names_are_rejected_naming_the_first(self, tmp_path):
+        # Manifests once spelled the embedding and head weights "embed.w" ... "recon.b".
+        model = build_model(tiny_config(seed=6), 2, 1, 16)
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(model, str(path))
+        self._rename_in_manifest(
+            path, {f"{head}_{p}": f"{head}.{p}" for head in ("embed", "cls", "recon") for p in "wb"}
+        )
+        with pytest.raises(InputError, match="first unknown name: embed.w; first missing name: embed_w"):
+            load_checkpoint(str(path))
+
+    def test_names_are_attribute_paths(self):
+        model = build_model(tiny_config(n_layers=2), 2, 1, 16)
+        for name, tensor in model.named_parameters():
+            node = model
+            for part in name.split("."):
+                node = node[int(part)] if part.isdigit() else getattr(node, part)
+            assert node is tensor, name
 
     def test_named_parameters_are_unique_and_stable(self):
         model = build_model(tiny_config(n_layers=2), 2, 1, 16)

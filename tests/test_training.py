@@ -378,7 +378,7 @@ class TestNonFiniteTraining:
         ds = toy_separable()
         config = tiny_config(finetune_epochs=2)
         path = tmp_path / "ckpt"
-        init = self._nan_init(config, ds, "cls.w")
+        init = self._nan_init(config, ds, "cls_w")
         with pytest.raises(NonFiniteError, match="finetune epoch 1 step 1: the training loss is nan"):
             finetune(ds, config, init=init, val_dataset=ds, checkpoint_path=str(path))
         assert not path.exists()
@@ -389,8 +389,8 @@ class TestNonFiniteTraining:
         ds = toy_separable()
         config = tiny_config(finetune_epochs=2, batch_size=8)
         path = tmp_path / "ckpt"
-        init = self._nan_init(config, ds, "recon.w")
-        with pytest.raises(NonFiniteError, match="finetune epoch 1 step 2: parameter recon.w"):
+        init = self._nan_init(config, ds, "recon_w")
+        with pytest.raises(NonFiniteError, match="finetune epoch 1 step 2: parameter recon_w"):
             finetune(ds, config, init=init, val_dataset=ds, checkpoint_path=str(path))
         assert not path.exists()
 
