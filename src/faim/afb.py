@@ -21,7 +21,6 @@ from .rng import CounterRng
 from .spectral import (
     KEEP_ABOVE,
     KEEP_BELOW,
-    BandMask,
     Spectrum,
     apply_mask,
     band_mask,
@@ -57,8 +56,8 @@ class LayerActivations:
     """Intermediates of one afb_forward call, retained for inspection."""
 
     spectrum: Spectrum = None
-    mask_high: BandMask = None
-    mask_low: BandMask = None
+    mask_high: Tensor = None
+    mask_low: Tensor = None
     high: Spectrum = None
     low: Spectrum = None
     branch_global: Spectrum = None

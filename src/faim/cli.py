@@ -193,8 +193,7 @@ def _cmd_noise_bench(cfg: dict, out_dir: Path) -> None:
     for sigma in cfg["noise.sigmas"]:
         noisy = data_io.add_gaussian_noise(test, sigma, cfg["train.seed"])
         preds = predict_dataset(model, noisy, cfg["train.batch_size"])
-        _, labels = noisy.arrays()
-        acc, f1 = accuracy_and_macro_f1(preds, labels, noisy.n_classes)
+        acc, f1 = accuracy_and_macro_f1(preds, noisy.y, noisy.n_classes)
         lines.append(f"{repr(float(sigma))},{repr(acc)},{repr(f1)}")
         report.summary[f"accuracy_at_{format(sigma, 'g')}"] = repr(acc)
     _write(out_dir / "report.csv", "\n".join(lines) + "\n")

@@ -1,7 +1,10 @@
 """Dataset ingestion, normalization, synthetic corpora, and the
 Gaussian-noise robustness harness.
 
-Two on-disk formats:
+A dataset is two arrays: ``x`` of shape [samples, channels, T] (float64)
+and ``y``, the class index of each sample (int64).
+
+Two on-disk formats, both UTF-8 text (any other bytes are an input error):
 
 * univariate: delimited text, one sample per line, label first, then the
   series values; tab or comma, auto-detected from the first line.
@@ -18,7 +21,7 @@ import contextlib
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,34 +31,29 @@ from .rng import CounterRng, derive_seed
 
 @dataclass
 class SeriesDataset:
-    """Fixed-shape labeled series: every sample is [channels, T]."""
+    """Labeled series of one shape: ``x`` is [samples, channels, T], ``y``
+    the class of each sample.  Derived datasets never share ``x``."""
 
-    samples: list[tuple[np.ndarray, int]]
+    x: np.ndarray
+    y: np.ndarray
     n_classes: int
-    n_channels: int
-    series_len: int
     label_map: dict[str, int] = field(default_factory=dict)
     norm_mean: np.ndarray | None = None
     norm_std: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return len(self.samples)
+    @property
+    def n_channels(self) -> int:
+        return self.x.shape[1]
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.stack([s for s, _ in self.samples])
-        y = np.array([label for _, label in self.samples], dtype=np.int64)
-        return x, y
+    @property
+    def series_len(self) -> int:
+        return self.x.shape[2]
+
+    def __len__(self) -> int:
+        return len(self.x)
 
     def take(self, indices) -> "SeriesDataset":
-        return SeriesDataset(
-            samples=[(self.samples[i][0].copy(), self.samples[i][1]) for i in indices],
-            n_classes=self.n_classes,
-            n_channels=self.n_channels,
-            series_len=self.series_len,
-            label_map=dict(self.label_map),
-            norm_mean=None if self.norm_mean is None else self.norm_mean.copy(),
-            norm_std=None if self.norm_std is None else self.norm_std.copy(),
-        )
+        return replace(self, x=self.x.take(indices, axis=0), y=self.y.take(indices))
 
 
 def pad_tail(values: np.ndarray, target: int) -> np.ndarray:
@@ -66,21 +64,22 @@ def pad_tail(values: np.ndarray, target: int) -> np.ndarray:
 
 
 def open_input(path: str, mode: str = "r"):
-    """``open(path, mode)``; a file that cannot be opened is an InputError naming it."""
+    """``open(path, mode)``, as UTF-8 in text mode; a file that cannot be
+    opened is an InputError naming it."""
     try:
-        return open(path, mode)
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _remap_labels(raw_labels: list[str]) -> tuple[list[int], dict[str, int]]:
+def _remap_labels(raw_labels: list[str]) -> tuple[np.ndarray, dict[str, int]]:
     mapping: dict[str, int] = {}
     out = []
     for raw in raw_labels:
         if raw not in mapping:
             mapping[raw] = len(mapping)
         out.append(mapping[raw])
-    return out, mapping
+    return np.array(out, dtype=np.int64), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +90,10 @@ def _remap_labels(raw_labels: list[str]) -> tuple[list[int], dict[str, int]]:
 def load_univariate(path: str) -> SeriesDataset:
     """Delimited text, one line per sample: label, then T values."""
     with open_input(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        try:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise InputError(f"{path} contains no samples")
     delimiter = "\t" if "\t" in lines[0] else ","
@@ -120,8 +122,7 @@ def load_univariate(path: str) -> SeriesDataset:
         warnings.warn(f"{path}: ragged rows padded to length {t_max} by last-value replication")
         rows = [pad_tail(row, t_max) for row in rows]
     labels, mapping = _remap_labels(raw_labels)
-    samples = [(row[None, :], label) for row, label in zip(rows, labels)]
-    return SeriesDataset(samples, len(mapping), 1, t_max, mapping)
+    return SeriesDataset(np.stack(rows)[:, None, :], labels, len(mapping), mapping)
 
 
 def write_atomic(path, payload: bytes) -> None:
@@ -143,7 +144,7 @@ def write_atomic(path, payload: bytes) -> None:
 def save_univariate(dataset: SeriesDataset, path: str, delimiter: str = "\t") -> None:
     inverse = {v: k for k, v in dataset.label_map.items()}
     lines = []
-    for series, label in dataset.samples:
+    for series, label in zip(dataset.x, dataset.y):
         values = delimiter.join(repr(float(v)) for v in series[0])
         lines.append(f"{inverse.get(label, label)}{delimiter}{values}\n")
     write_atomic(path, "".join(lines).encode())
@@ -153,8 +154,14 @@ def load_multivariate(path: str) -> SeriesDataset:
     """JSON lines with fields "label" and "series" (per-channel lists)."""
     raw_labels: list[str] = []
     series_list: list[np.ndarray] = []
-    with open_input(path) as fh:
-        for rec_no, line in enumerate(fh, start=1):
+    # Lines are split on b"\n" and decoded one at a time, so an undecodable
+    # byte is charged to its own record.
+    with open_input(path, "rb") as fh:
+        for rec_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path} record {rec_no}: not UTF-8 text ({exc.reason})") from None
             if not line.strip():
                 continue
             try:
@@ -196,10 +203,9 @@ def load_multivariate(path: str) -> SeriesDataset:
                 f"{path} record {rec_no}: has {series.shape[0]} channels, expected {n_channels}"
             )
     t_max = max(series.shape[1] for series in series_list)
-    series_list = [pad_tail(series, t_max) for series in series_list]
+    x = np.stack([pad_tail(series, t_max) for series in series_list])
     labels, mapping = _remap_labels(raw_labels)
-    samples = list(zip(series_list, labels))
-    return SeriesDataset(samples, len(mapping), n_channels, t_max, mapping)
+    return SeriesDataset(x, labels, len(mapping), mapping)
 
 
 def _non_numeric(channels) -> str:
@@ -216,7 +222,7 @@ def _non_numeric(channels) -> str:
 def save_multivariate(dataset: SeriesDataset, path: str) -> None:
     inverse = {v: k for k, v in dataset.label_map.items()}
     lines = []
-    for series, label in dataset.samples:
+    for series, label in zip(dataset.x, dataset.y):
         record = {
             "label": inverse.get(label, str(label)),
             "series": [[float(v) for v in channel] for channel in series],
@@ -234,9 +240,8 @@ STD_FLOOR = 1e-8
 
 def channel_stats(dataset: SeriesDataset) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and floored std pooled over samples and time."""
-    x, _ = dataset.arrays()
-    mean = x.mean(axis=(0, 2))
-    std = np.maximum(x.std(axis=(0, 2)), STD_FLOOR)
+    mean = dataset.x.mean(axis=(0, 2))
+    std = np.maximum(dataset.x.std(axis=(0, 2)), STD_FLOOR)
     return mean, std
 
 
@@ -245,43 +250,21 @@ def znormalize(
 ) -> SeriesDataset:
     """Per-channel (x - mean) / std; pass training stats for a test split."""
     mean, std = channel_stats(dataset) if stats is None else stats
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
-    samples = [
-        (((series - mean[:, None]) / std[:, None]), label) for series, label in dataset.samples
-    ]
-    return SeriesDataset(
-        samples=samples,
-        n_classes=dataset.n_classes,
-        n_channels=dataset.n_channels,
-        series_len=dataset.series_len,
-        label_map=dict(dataset.label_map),
-        norm_mean=mean.copy(),
-        norm_std=std.copy(),
-    )
+    mean = np.array(mean, dtype=np.float64)
+    std = np.array(std, dtype=np.float64)
+    x = (dataset.x - mean[:, None]) / std[:, None]
+    return replace(dataset, x=x, norm_mean=mean, norm_std=std)
 
 
 def add_gaussian_noise(dataset: SeriesDataset, sigma: float, seed: int) -> SeriesDataset:
     """Additive seeded Gaussian noise; the source dataset is never mutated."""
     if sigma < 0:
         raise InputError(f"noise sigma must be >= 0, got {sigma}")
-    samples = []
-    for i, (series, label) in enumerate(dataset.samples):
-        noisy = series.copy()
-        if sigma > 0:
-            for c in range(series.shape[0]):
-                rng = CounterRng(derive_seed(seed, "noise", i, c))
-                noisy[c] = noisy[c] + sigma * rng.normal((series.shape[1],))
-        samples.append((noisy, label))
-    return SeriesDataset(
-        samples=samples,
-        n_classes=dataset.n_classes,
-        n_channels=dataset.n_channels,
-        series_len=dataset.series_len,
-        label_map=dict(dataset.label_map),
-        norm_mean=None if dataset.norm_mean is None else dataset.norm_mean.copy(),
-        norm_std=None if dataset.norm_std is None else dataset.norm_std.copy(),
-    )
+    x = dataset.x.copy()
+    if sigma > 0:
+        for i, c in np.ndindex(x.shape[:2]):
+            x[i, c] += sigma * CounterRng(derive_seed(seed, "noise", i, c)).normal((x.shape[2],))
+    return replace(dataset, x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +284,14 @@ def make_synthetic_freq_dataset(
             raise InputError(f"frequency {f} is outside (0, {t / 2})")
     rng = CounterRng(derive_seed(seed, "synth-freq"))
     grid = np.arange(t) / t
-    samples = []
-    for c, f in enumerate(freqs):
-        for _ in range(n_per_class):
-            phase = rng.uniform((), 0.0, 2.0 * np.pi)
-            series = np.sin(2.0 * np.pi * f * grid + phase)
-            if snr_sigma > 0:
-                series = series + snr_sigma * rng.normal((t,))
-            samples.append((series[None, :], c))
-    mapping = {str(c): c for c in range(len(freqs))}
-    return SeriesDataset(samples, len(freqs), 1, t, mapping)
+    y = np.repeat(np.arange(len(freqs)), n_per_class)
+    x = np.empty((len(y), 1, t))
+    for i, c in enumerate(y):
+        phase = rng.uniform((), 0.0, 2.0 * np.pi)
+        x[i, 0] = np.sin(2.0 * np.pi * freqs[c] * grid + phase)
+        if snr_sigma > 0:
+            x[i, 0] += snr_sigma * rng.normal((t,))
+    return SeriesDataset(x, y, len(freqs), {str(c): c for c in range(len(freqs))})
 
 
 def make_synthetic_motion_dataset(
@@ -337,22 +318,20 @@ def make_synthetic_motion_dataset(
     detail_freq = structure.uniform((n_classes, n_channels), 8.0, 16.0)
     detail_amp = structure.uniform((n_classes, n_channels), 0.1, 0.5)
     rng = CounterRng(derive_seed(seed, "synth-motion"))
-    samples = []
-    for c in range(n_classes):
-        for _ in range(n_per_class):
-            phase = rng.uniform((n_channels,), 0.0, 2.0 * np.pi)
-            phase2 = rng.uniform((n_channels,), 0.0, 2.0 * np.pi)
-            series = amp[c][:, None] * np.sin(
-                2.0 * np.pi * base_freqs[c] * grid[None, :] + phase[:, None]
-            )
-            series = series + detail_amp[c][:, None] * np.sin(
-                2.0 * np.pi * detail_freq[c][:, None] * grid[None, :] + phase2[:, None]
-            )
-            if snr_sigma > 0:
-                series = series + snr_sigma * rng.normal((n_channels, t))
-            samples.append((series, c))
-    mapping = {str(c): c for c in range(n_classes)}
-    return SeriesDataset(samples, n_classes, n_channels, t, mapping)
+    y = np.repeat(np.arange(n_classes), n_per_class)
+    x = np.empty((len(y), n_channels, t))
+    for i, c in enumerate(y):
+        phase = rng.uniform((n_channels,), 0.0, 2.0 * np.pi)
+        phase2 = rng.uniform((n_channels,), 0.0, 2.0 * np.pi)
+        x[i] = amp[c][:, None] * np.sin(
+            2.0 * np.pi * base_freqs[c] * grid[None, :] + phase[:, None]
+        )
+        x[i] += detail_amp[c][:, None] * np.sin(
+            2.0 * np.pi * detail_freq[c][:, None] * grid[None, :] + phase2[:, None]
+        )
+        if snr_sigma > 0:
+            x[i] += snr_sigma * rng.normal((n_channels, t))
+    return SeriesDataset(x, y, n_classes, {str(c): c for c in range(n_classes)})
 
 
 def align_labels(dataset: SeriesDataset, reference_map: dict[str, int]) -> SeriesDataset:
@@ -361,20 +340,17 @@ def align_labels(dataset: SeriesDataset, reference_map: dict[str, int]) -> Serie
     Raises if the dataset contains a raw label the reference never saw.
     """
     inverse = {v: k for k, v in dataset.label_map.items()}
-    samples = []
-    for series, label in dataset.samples:
-        raw = inverse[label]
-        if raw not in reference_map:
-            raise InputError(f"label {raw!r} does not appear in the reference label map")
-        samples.append((series.copy(), reference_map[raw]))
-    return SeriesDataset(
-        samples=samples,
+    present, where = np.unique(dataset.y, return_inverse=True)
+    for label in present:
+        if inverse[label] not in reference_map:
+            raise InputError(f"label {inverse[label]!r} does not appear in the reference label map")
+    relabel = np.array([reference_map[inverse[label]] for label in present], dtype=np.int64)
+    return replace(
+        dataset,
+        x=dataset.x.copy(),
+        y=relabel[where],
         n_classes=max(len(reference_map), dataset.n_classes),
-        n_channels=dataset.n_channels,
-        series_len=dataset.series_len,
         label_map=dict(reference_map),
-        norm_mean=None if dataset.norm_mean is None else dataset.norm_mean.copy(),
-        norm_std=None if dataset.norm_std is None else dataset.norm_std.copy(),
     )
 
 

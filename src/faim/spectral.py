@@ -90,16 +90,6 @@ class Spectrum:
             )
 
 
-@dataclass
-class BandMask:
-    """Soft per-bin keep weights from a sigmoid threshold on normalized frequency."""
-
-    values: Tensor
-    threshold: Tensor
-    direction: str
-    temperature: float
-
-
 # ---------------------------------------------------------------------------
 # differentiable transforms
 # ---------------------------------------------------------------------------
@@ -132,8 +122,9 @@ KEEP_BELOW = "keep-below"
 KEEP_ABOVE = "keep-above"
 
 
-def band_mask(s: Spectrum, theta, direction: str, tau: float = 0.02) -> BandMask:
-    """Soft threshold mask over normalized frequencies f_k = k / n_time."""
+def band_mask(s: Spectrum, theta, direction: str, tau: float = 0.02) -> Tensor:
+    """Soft per-bin keep weights: a sigmoid threshold at ``theta`` on the
+    normalized frequencies f_k = k / n_time."""
     if tau <= 0:
         raise InputError(f"mask temperature must be positive, got {tau}")
     theta = as_tensor(theta)
@@ -145,18 +136,17 @@ def band_mask(s: Spectrum, theta, direction: str, tau: float = 0.02) -> BandMask
         logits = sub(freqs, theta)
     else:
         raise InputError(f"unknown mask direction {direction!r}")
-    values = sigmoid(mul(logits, as_tensor(1.0 / tau)))
-    return BandMask(values, theta, direction, tau)
+    return sigmoid(mul(logits, as_tensor(1.0 / tau)))
 
 
-def apply_mask(s: Spectrum, m: BandMask) -> Spectrum:
-    """Scale each frequency bin by its keep weight."""
+def apply_mask(s: Spectrum, weights: Tensor) -> Spectrum:
+    """Scale each frequency bin by its keep weight from :func:`band_mask`."""
     bins = s.bins
-    k = m.values.shape[0]
+    k = weights.shape[0]
     axis = _token_axis(bins.ndim)
     if bins.shape[axis] != k:
         raise ShapeError(f"mask has {k} bins but spectrum has {bins.shape[axis]}")
-    weights = m.values if bins.ndim == 1 else reshape(m.values, (k, 1))
+    weights = weights if bins.ndim == 1 else reshape(weights, (k, 1))
     return Spectrum(mul(bins, weights), s.n_time)
 
 

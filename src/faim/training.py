@@ -31,7 +31,7 @@ from .model import (
 )
 from .optim import AdamWState, adamw_step
 from .rng import CounterRng, derive_seed
-from .tensor import Tape, Tensor, backward, mul, neg, sub, texp, tlog, tsum
+from .tensor import Tape, Tensor, backward, mul, neg, reshape, sub, texp, tlog, tsum
 
 
 # ---------------------------------------------------------------------------
@@ -39,20 +39,12 @@ from .tensor import Tape, Tensor, backward, mul, neg, sub, texp, tlog, tsum
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MaskPlan:
-    """Binary per-(channel, patch) mask with exact per-row count."""
-
-    lam: np.ndarray
-    ratio: float
-    seed: int
-
-
-def make_mask(shape: tuple[int, ...], ratio: float, seed: int) -> MaskPlan:
-    """Exactly round(ratio * Z) ones per row, chosen by seeded shuffle.
+def make_mask(shape: tuple[int, ...], ratio: float, seed: int) -> np.ndarray:
+    """Binary per-(channel, patch) mask: exactly round(ratio * Z) ones per
+    row, chosen by seeded shuffle.
 
     ``shape`` is (..., Z); every leading index gets its own row draw, all
-    derived from (seed, shape) so the plan is reproducible.
+    derived from (seed, shape) so the mask is reproducible.
     """
     if not 0 <= ratio < 1:
         raise InputError(f"mask ratio must be in [0, 1), got {ratio}")
@@ -64,7 +56,7 @@ def make_mask(shape: tuple[int, ...], ratio: float, seed: int) -> MaskPlan:
     for row in range(flat.shape[0]):
         chosen = rng.permutation(z)[:n_masked]
         flat[row, chosen] = 1.0
-    return MaskPlan(lam, ratio, seed)
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +108,9 @@ def label_smoothed_ce(logits: Tensor, y: int, eps: float) -> Tensor:
     """Cross-entropy of one logit vector against smoothed targets."""
     if logits.ndim != 1:
         raise ShapeError(f"expected a logit vector, got shape {logits.shape}")
-    n_classes = logits.shape[0]
-    if n_classes < 2:
-        raise InputError(f"need at least 2 classes, got {n_classes}")
-    targets = smooth_targets(y, n_classes, eps)
-    return neg(tsum(mul(_log_softmax(logits), Tensor(targets))))
+    if logits.shape[0] < 2:
+        raise InputError(f"need at least 2 classes, got {logits.shape[0]}")
+    return batch_label_smoothed_ce(reshape(logits, (1, -1)), np.array([y]), eps)
 
 
 def batch_label_smoothed_ce(logits: Tensor, labels: np.ndarray, eps: float) -> Tensor:
@@ -204,8 +194,7 @@ def predict_dataset(model: FaimModel, dataset: SeriesDataset, batch_size: int = 
     """Predicted class per sample.  ``batch_size`` bounds the rows of one
     forward from above; the forward runs over smaller cache-sized blocks
     when the model geometry calls for them."""
-    x, _ = dataset.arrays()
-    return np.argmax(_logits(model, x, batch_size), axis=-1)
+    return np.argmax(_logits(model, dataset.x, batch_size), axis=-1)
 
 
 def evaluate(model: FaimModel, dataset: SeriesDataset, batch_size: int = 256):
@@ -214,10 +203,11 @@ def evaluate(model: FaimModel, dataset: SeriesDataset, batch_size: int = 256):
     ``batch_size`` bounds the rows of one forward from above, as in
     ``predict_dataset``; memory is bounded by the row block, not by it.
     """
-    x, y = dataset.arrays()
-    logits = _logits(model, x, batch_size)
-    loss = batch_label_smoothed_ce(Tensor(logits), y, model.config.label_smooth_eps)
-    accuracy, macro_f1 = accuracy_and_macro_f1(np.argmax(logits, axis=-1), y, dataset.n_classes)
+    logits = _logits(model, dataset.x, batch_size)
+    loss = batch_label_smoothed_ce(Tensor(logits), dataset.y, model.config.label_smooth_eps)
+    accuracy, macro_f1 = accuracy_and_macro_f1(
+        np.argmax(logits, axis=-1), dataset.y, dataset.n_classes
+    )
     return loss.item(), accuracy, macro_f1
 
 
@@ -259,7 +249,7 @@ def pretrain(
     """
     if len(dataset) == 0:
         raise InputError("cannot pretrain on an empty dataset")
-    x, _ = dataset.arrays()
+    x = dataset.x
     model = build_model(config, dataset.n_classes, dataset.n_channels, dataset.series_len)
     params = model.parameters()
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
@@ -273,14 +263,14 @@ def pretrain(
         epoch_loss = 0.0
         for step, start in enumerate(range(0, len(x), config.batch_size)):
             xb = x[order[start : start + config.batch_size]]
-            plan = make_mask(
+            lam = make_mask(
                 (len(xb), dataset.n_channels, model.n_patches),
                 config.mask_ratio,
                 derive_seed(config.seed, "pretrain-mask", epoch, step),
             )
             with Tape() as tape:
-                recon = reconstruct_forward(xb, plan.lam, model)
-                loss = masked_mse(reference_patches(xb, model), recon, plan.lam)
+                recon = reconstruct_forward(xb, lam, model)
+                loss = masked_mse(reference_patches(xb, model), recon, lam)
             _check_loss(loss.item(), "pretrain", epoch, step + 1)
             grads = backward(tape, loss)
             adamw_step(params, [grads.get(t) for t in params], opt)
@@ -316,8 +306,7 @@ def finetune(
     """
     if len(dataset) == 0:
         raise InputError("cannot finetune on an empty dataset")
-    _, labels = dataset.arrays()
-    missing = set(range(dataset.n_classes)) - set(int(v) for v in labels)
+    missing = set(range(dataset.n_classes)) - set(dataset.y.tolist())
     if missing:
         warnings.warn(f"classes {sorted(missing)} absent from the training labels")
     if val_dataset is None:
@@ -336,7 +325,7 @@ def finetune(
                 )
         model = init
         model.config = config
-    x, y = train_set.arrays()
+    x, y = train_set.x, train_set.y
     params = model.parameters()
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
     shuffle_rng = CounterRng(derive_seed(config.seed, "finetune-shuffle"))

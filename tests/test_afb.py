@@ -155,7 +155,7 @@ class TestAfbForward:
         make_identity_psi(params.psi_high)
         with Tape():
             out, acts = afb_forward(Tensor(x), params, use_low=False)
-        np.testing.assert_allclose(acts.mask_high.values.data[1], 1.0, atol=1e-8)
+        np.testing.assert_allclose(acts.mask_high.data[1], 1.0, atol=1e-8)
         np.testing.assert_allclose(out.data, x, atol=1e-6)
 
     def test_cleared_masks_reduce_to_global_branch(self):
@@ -218,8 +218,8 @@ class TestAfbForward:
         )
         expected = np.fft.irfft(integrated, n=z, axis=0)
         np.testing.assert_allclose(out.data, expected, atol=1e-8)
-        np.testing.assert_allclose(acts.mask_high.values.data, m_hi[:, 0], atol=1e-12)
-        np.testing.assert_allclose(acts.mask_low.values.data, m_lo[:, 0], atol=1e-12)
+        np.testing.assert_allclose(acts.mask_high.data, m_hi[:, 0], atol=1e-12)
+        np.testing.assert_allclose(acts.mask_low.data, m_lo[:, 0], atol=1e-12)
 
     def test_branch_toggles_drop_terms(self):
         params = self._params(3, seed=6)

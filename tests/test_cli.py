@@ -267,6 +267,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path} {where}" in err and "internal error" not in err
 
+    @pytest.mark.parametrize(
+        "name, payload, fmt, where",
+        [
+            ("u.tsv", b"\xff\xfe0\t1.0\t2.0\n", "univariate", "is not UTF-8 text"),
+            ("m.jsonl", b'{"label": "a", "series": [[1.0, 2.0]]}\n\xff\n', "multivariate", "record 2: not UTF-8 text"),
+        ],
+        ids=["tsv", "jsonl"],
+    )
+    def test_non_utf8_data_is_an_input_error(self, tmp_path, capsys, name, payload, fmt, where):
+        path = tmp_path / name
+        path.write_bytes(payload)
+        rc = main(["finetune", "--run.dir", str(tmp_path), "--run.name", "f",
+                   "--data.train", str(path), "--data.format", fmt])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{path} {where}" in err and "internal error" not in err
+
     @pytest.mark.parametrize("writer", ["checkpoint", "artifact"])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, writer):
         path = tmp_path / "out"

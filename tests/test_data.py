@@ -21,15 +21,12 @@ from faim.data import (
     znormalize,
 )
 from faim.errors import InputError
+from faim.rng import CounterRng, derive_seed
 
 
 def tiny_dataset():
-    samples = [
-        (np.array([[1.0, 2.0, 3.0, 4.0]]), 0),
-        (np.array([[0.0, 0.0, 0.0, 0.0]]), 1),
-        (np.array([[-1.0, 1.0, -1.0, 1.0]]), 0),
-    ]
-    return SeriesDataset(samples, 2, 1, 4, {"a": 0, "b": 1})
+    x = np.array([[[1.0, 2.0, 3.0, 4.0]], [[0.0, 0.0, 0.0, 0.0]], [[-1.0, 1.0, -1.0, 1.0]]])
+    return SeriesDataset(x, np.array([0, 1, 0]), 2, {"a": 0, "b": 1})
 
 
 class TestLoadUnivariate:
@@ -40,16 +37,16 @@ class TestLoadUnivariate:
         assert (len(ds), ds.n_classes, ds.n_channels, ds.series_len) == (2, 2, 1, 2)
         # labels remap in first-seen order
         assert ds.label_map == {"3": 0, "5": 1}
-        np.testing.assert_array_equal(ds.samples[0][0], [[1.5, 2.5]])
-        np.testing.assert_array_equal(ds.samples[1][0], [[-1.0, 0.0]])
-        assert [label for _, label in ds.samples] == [0, 1]
+        np.testing.assert_array_equal(ds.x, [[[1.5, 2.5]], [[-1.0, 0.0]]])
+        assert ds.x.dtype == np.float64 and ds.y.dtype == np.int64
+        assert ds.y.tolist() == [0, 1]
 
     def test_comma_delimiter_autodetected(self, tmp_path):
         path = tmp_path / "u.csv"
         path.write_text("x,1.0,2.0\ny,3.0,4.0\n")
         ds = load_univariate(str(path))
         assert ds.label_map == {"x": 0, "y": 1}
-        np.testing.assert_array_equal(ds.samples[1][0], [[3.0, 4.0]])
+        np.testing.assert_array_equal(ds.x[1], [[3.0, 4.0]])
 
     def test_string_labels_and_blank_lines(self, tmp_path):
         path = tmp_path / "u.tsv"
@@ -64,7 +61,7 @@ class TestLoadUnivariate:
         with pytest.warns(UserWarning, match="padded to length 4"):
             ds = load_univariate(str(path))
         assert ds.series_len == 4
-        np.testing.assert_array_equal(ds.samples[1][0], [[5.0, 6.0, 6.0, 6.0]])
+        np.testing.assert_array_equal(ds.x[1], [[5.0, 6.0, 6.0, 6.0]])
 
     def test_non_numeric_token_names_line_and_column(self, tmp_path):
         path = tmp_path / "u.tsv"
@@ -102,7 +99,8 @@ class TestLoadMultivariate:
         ds = load_multivariate(path)
         assert (len(ds), ds.n_classes, ds.n_channels, ds.series_len) == (2, 2, 2, 2)
         assert ds.label_map == {"walk": 0, "run": 1}
-        np.testing.assert_array_equal(ds.samples[0][0], [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ds.x[0], [[1.0, 2.0], [3.0, 4.0]])
+        assert ds.x.dtype == np.float64 and ds.y.tolist() == [0, 1]
 
     def test_short_records_padded_with_last_value(self, tmp_path):
         path = self._write(
@@ -114,7 +112,7 @@ class TestLoadMultivariate:
         )
         ds = load_multivariate(path)
         assert ds.series_len == 3
-        np.testing.assert_array_equal(ds.samples[1][0], [[4.0, 5.0, 5.0]])
+        np.testing.assert_array_equal(ds.x[1], [[4.0, 5.0, 5.0]])
 
     def test_channel_count_mismatch_names_record(self, tmp_path):
         path = self._write(
@@ -171,17 +169,15 @@ class TestSaveLoadRoundTrips:
         back = load_univariate(path)
         assert back.label_map == ds.label_map
         assert len(back) == len(ds)
-        for (xa, ya), (xb, yb) in zip(ds.samples, back.samples):
-            assert ya == yb
-            assert xa.tobytes() == xb.tobytes()
+        assert back.y.tolist() == ds.y.tolist()
+        assert back.x.tobytes() == ds.x.tobytes()
 
     def test_univariate_comma_round_trip(self, tmp_path):
         ds = tiny_dataset()
         path = str(tmp_path / "u.csv")
         save_univariate(ds, path, delimiter=",")
         back = load_univariate(path)
-        for (xa, ya), (xb, yb) in zip(ds.samples, back.samples):
-            assert ya == yb and xa.tobytes() == xb.tobytes()
+        assert back.y.tolist() == ds.y.tolist() and back.x.tobytes() == ds.x.tobytes()
 
     def test_multivariate_round_trip_is_exact(self, tmp_path):
         ds = make_synthetic_motion_dataset(2, 3, 20, 2, 0.2, seed=1)
@@ -190,9 +186,8 @@ class TestSaveLoadRoundTrips:
         back = load_multivariate(path)
         assert back.label_map == ds.label_map
         assert back.n_channels == 3
-        for (xa, ya), (xb, yb) in zip(ds.samples, back.samples):
-            assert ya == yb
-            assert xa.tobytes() == xb.tobytes()
+        assert back.y.tolist() == ds.y.tolist()
+        assert back.x.tobytes() == ds.x.tobytes()
 
     @pytest.mark.parametrize("save", [save_univariate, save_multivariate])
     def test_failed_write_keeps_the_previous_corpus(self, tmp_path, monkeypatch, save):
@@ -211,14 +206,14 @@ class TestSaveLoadRoundTrips:
 
 class TestZnormalize:
     def test_constant_channel_maps_to_zero(self):
-        ds = SeriesDataset([(np.full((1, 8), 5.0), 0)], 1, 1, 8, {"0": 0})
+        ds = SeriesDataset(np.full((1, 1, 8), 5.0), np.array([0]), 1, {"0": 0})
         out = znormalize(ds)
-        np.testing.assert_array_equal(out.samples[0][0], np.zeros((1, 8)))
+        np.testing.assert_array_equal(out.x, np.zeros((1, 1, 8)))
 
     def test_two_point_example(self):
-        ds = SeriesDataset([(np.array([[0.0, 2.0]]), 0)], 1, 1, 2, {"0": 0})
+        ds = SeriesDataset(np.array([[[0.0, 2.0]]]), np.array([0]), 1, {"0": 0})
         out = znormalize(ds)
-        np.testing.assert_allclose(out.samples[0][0], [[-1.0, 1.0]], rtol=1e-15)
+        np.testing.assert_allclose(out.x, [[[-1.0, 1.0]]], rtol=1e-15)
 
     def test_normalized_stats_are_zero_mean_unit_std(self):
         ds = make_synthetic_motion_dataset(4, 3, 32, 2, 0.5, seed=3)
@@ -232,66 +227,71 @@ class TestZnormalize:
         test = make_synthetic_freq_dataset(5, 16, [2.0, 5.0], 0.4, seed=1)
         stats = channel_stats(train)
         out = znormalize(test, stats=stats)
-        expected = (test.samples[0][0] - stats[0][:, None]) / stats[1][:, None]
-        np.testing.assert_array_equal(out.samples[0][0], expected)
+        expected = (test.x[0] - stats[0][:, None]) / stats[1][:, None]
+        np.testing.assert_array_equal(out.x[0], expected)
         np.testing.assert_array_equal(out.norm_mean, stats[0])
         np.testing.assert_array_equal(out.norm_std, stats[1])
 
     def test_invertible(self):
         ds = make_synthetic_motion_dataset(2, 2, 16, 2, 0.3, seed=4)
         out = znormalize(ds)
-        for (orig, _), (norm, _) in zip(ds.samples, out.samples):
-            recovered = norm * out.norm_std[:, None] + out.norm_mean[:, None]
-            np.testing.assert_allclose(recovered, orig, atol=1e-12)
+        recovered = out.x * out.norm_std[:, None] + out.norm_mean[:, None]
+        np.testing.assert_allclose(recovered, ds.x, atol=1e-12)
 
     def test_source_dataset_unchanged(self):
         ds = tiny_dataset()
-        snapshot = [x.copy() for x, _ in ds.samples]
-        znormalize(ds)
-        for (x, _), snap in zip(ds.samples, snapshot):
-            np.testing.assert_array_equal(x, snap)
+        snapshot = ds.x.copy()
+        out = znormalize(ds)
+        np.testing.assert_array_equal(ds.x, snapshot)
+        assert not np.shares_memory(out.x, ds.x)
 
 
 class TestAddGaussianNoise:
     def test_sigma_zero_is_a_pure_copy(self):
         ds = tiny_dataset()
         out = add_gaussian_noise(ds, 0.0, seed=0)
-        for (xa, ya), (xb, yb) in zip(ds.samples, out.samples):
-            assert ya == yb
-            assert xa.tobytes() == xb.tobytes()
-            assert xa is not xb
+        assert out.y.tolist() == ds.y.tolist()
+        assert out.x.tobytes() == ds.x.tobytes()
+        assert not np.shares_memory(out.x, ds.x)
 
     def test_source_never_mutated(self):
         ds = tiny_dataset()
-        snapshot = [x.copy() for x, _ in ds.samples]
+        snapshot = ds.x.copy()
         add_gaussian_noise(ds, 2.0, seed=5)
-        for (x, _), snap in zip(ds.samples, snapshot):
-            np.testing.assert_array_equal(x, snap)
+        np.testing.assert_array_equal(ds.x, snapshot)
 
     def test_deterministic_and_seed_sensitive(self):
         ds = tiny_dataset()
         a = add_gaussian_noise(ds, 0.5, seed=1)
         b = add_gaussian_noise(ds, 0.5, seed=1)
         c = add_gaussian_noise(ds, 0.5, seed=2)
-        for (xa, _), (xb, _), (xc, _) in zip(a.samples, b.samples, c.samples):
-            assert xa.tobytes() == xb.tobytes()
+        assert a.x.tobytes() == b.x.tobytes()
+        for xa, xc in zip(a.x, c.x):
             assert not np.array_equal(xa, xc)
 
     def test_substreams_differ_per_sample_and_channel(self):
-        ds = SeriesDataset([(np.zeros((2, 16)), 0), (np.zeros((2, 16)), 0)], 1, 2, 16, {})
+        ds = SeriesDataset(np.zeros((2, 2, 16)), np.array([0, 0]), 1)
         out = add_gaussian_noise(ds, 1.0, seed=3)
-        x0, x1 = out.samples[0][0], out.samples[1][0]
+        x0, x1 = out.x
         assert not np.array_equal(x0[0], x0[1])
         assert not np.array_equal(x0[0], x1[0])
+
+    def test_each_sample_and_channel_draws_its_own_stream(self):
+        ds = make_synthetic_motion_dataset(2, 3, 16, 2, 0.2, seed=1)
+        out = add_gaussian_noise(ds, 0.4, seed=8)
+        for i in range(len(ds)):
+            for c in range(ds.n_channels):
+                draw = CounterRng(derive_seed(8, "noise", i, c)).normal((ds.series_len,))
+                assert out.x[i, c].tobytes() == (ds.x[i, c] + 0.4 * draw).tobytes()
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(InputError, match="sigma"):
             add_gaussian_noise(tiny_dataset(), -0.1, seed=0)
 
     def test_noise_scale_matches_sigma(self):
-        ds = SeriesDataset([(np.zeros((1, 4096)), 0)], 1, 1, 4096, {})
+        ds = SeriesDataset(np.zeros((1, 1, 4096)), np.array([0]), 1)
         out = add_gaussian_noise(ds, 0.7, seed=9)
-        noise = out.samples[0][0]
+        noise = out.x
         assert abs(noise.std() - 0.7) < 0.05 * 0.7
         assert abs(noise.mean()) < 0.1
 
@@ -300,24 +300,23 @@ class TestSyntheticFreqDataset:
     def test_layout_and_labels(self):
         ds = make_synthetic_freq_dataset(3, 32, [4.0, 9.0], 0.1, seed=0)
         assert (len(ds), ds.n_classes, ds.n_channels, ds.series_len) == (6, 2, 1, 32)
-        assert [label for _, label in ds.samples] == [0, 0, 0, 1, 1, 1]
+        assert ds.y.tolist() == [0, 0, 0, 1, 1, 1]
         assert ds.label_map == {"0": 0, "1": 1}
 
     def test_deterministic(self):
         a = make_synthetic_freq_dataset(2, 16, [2.0, 5.0], 0.5, seed=4)
         b = make_synthetic_freq_dataset(2, 16, [2.0, 5.0], 0.5, seed=4)
-        for (xa, _), (xb, _) in zip(a.samples, b.samples):
-            assert xa.tobytes() == xb.tobytes()
+        assert a.x.tobytes() == b.x.tobytes()
 
     def test_noiseless_samples_classified_by_peak_bin(self):
         ds = make_synthetic_freq_dataset(20, 128, [3.0, 12.0], 0.0, seed=6)
-        for series, label in ds.samples:
+        for series, label in zip(ds.x, ds.y):
             spectrum = np.abs(np.fft.rfft(series[0]))
             assert np.argmax(spectrum) == (3 if label == 0 else 12)
 
     def test_unit_amplitude_when_noiseless(self):
         ds = make_synthetic_freq_dataset(5, 64, [4.0], 0.0, seed=2)
-        for series, _ in ds.samples:
+        for series in ds.x:
             peak = np.abs(np.fft.rfft(series[0]))[4]
             np.testing.assert_allclose(peak, 32.0, rtol=1e-9)
 
@@ -336,15 +335,15 @@ class TestSyntheticMotionDataset:
     def test_layout(self):
         ds = make_synthetic_motion_dataset(4, 6, 100, 4, 0.3, seed=0)
         assert (len(ds), ds.n_classes, ds.n_channels, ds.series_len) == (16, 4, 6, 100)
-        assert ds.samples[0][0].shape == (6, 100)
-        assert [label for _, label in ds.samples] == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
+        assert ds.x.shape == (16, 6, 100)
+        assert ds.y.tolist() == [0] * 4 + [1] * 4 + [2] * 4 + [3] * 4
 
     def test_deterministic_and_seed_sensitive(self):
         a = make_synthetic_motion_dataset(2, 3, 50, 2, 0.2, seed=1)
         b = make_synthetic_motion_dataset(2, 3, 50, 2, 0.2, seed=1)
         c = make_synthetic_motion_dataset(2, 3, 50, 2, 0.2, seed=2)
-        for (xa, _), (xb, _), (xc, _) in zip(a.samples, b.samples, c.samples):
-            assert xa.tobytes() == xb.tobytes()
+        assert a.x.tobytes() == b.x.tobytes()
+        for xa, xc in zip(a.x, c.x):
             assert not np.array_equal(xa, xc)
 
     def test_class_structure_shared_across_seeds(self):
@@ -352,7 +351,7 @@ class TestSyntheticMotionDataset:
         # of the dataset seed, so splits drawn with different seeds agree
         for seed in (0, 1):
             ds = make_synthetic_motion_dataset(3, 4, 100, 3, 0.0, seed=seed)
-            for series, label in ds.samples:
+            for series, label in zip(ds.x, ds.y):
                 for channel in series:
                     peak = np.argmax(np.abs(np.fft.rfft(channel)))
                     assert peak == 2 + 3 * label
@@ -366,8 +365,9 @@ class TestAlignLabels:
     def test_relabels_to_reference_order(self):
         ds = tiny_dataset()  # {"a": 0, "b": 1}
         out = align_labels(ds, {"b": 0, "a": 1})
-        assert [label for _, label in out.samples] == [1, 0, 1]
+        assert out.y.tolist() == [1, 0, 1]
         assert out.label_map == {"b": 0, "a": 1}
+        assert not np.shares_memory(out.x, ds.x)
 
     def test_unseen_label_rejected(self):
         ds = tiny_dataset()
@@ -375,15 +375,15 @@ class TestAlignLabels:
             align_labels(ds, {"a": 0, "c": 1})
 
     def test_class_count_covers_reference(self):
-        ds = SeriesDataset([(np.zeros((1, 4)), 0)], 1, 1, 4, {"a": 0})
+        ds = SeriesDataset(np.zeros((1, 1, 4)), np.array([0]), 1, {"a": 0})
         out = align_labels(ds, {"a": 0, "b": 1, "c": 2})
         assert out.n_classes == 3
 
 
 class TestSplitDataset:
     def _dataset(self, n):
-        samples = [(np.full((1, 4), float(i)), i % 2) for i in range(n)]
-        return SeriesDataset(samples, 2, 1, 4, {"0": 0, "1": 1})
+        x = np.arange(float(n))[:, None, None] * np.ones((1, 4))
+        return SeriesDataset(x, np.arange(n) % 2, 2, {"0": 0, "1": 1})
 
     def test_sizes(self):
         kept, holdout = split_dataset(self._dataset(10), 0.3, seed=0)
@@ -393,20 +393,19 @@ class TestSplitDataset:
         ds = self._dataset(12)
         k1, h1 = split_dataset(ds, 0.25, seed=5)
         k2, h2 = split_dataset(ds, 0.25, seed=5)
-        for (xa, _), (xb, _) in zip(k1.samples + h1.samples, k2.samples + h2.samples):
-            assert xa.tobytes() == xb.tobytes()
+        assert k1.x.tobytes() + h1.x.tobytes() == k2.x.tobytes() + h2.x.tobytes()
 
     def test_partition_is_disjoint_and_complete(self):
         ds = self._dataset(9)
         kept, holdout = split_dataset(ds, 0.4, seed=2)
-        ids = [float(x[0, 0]) for x, _ in kept.samples + holdout.samples]
+        ids = kept.x[:, 0, 0].tolist() + holdout.x[:, 0, 0].tolist()
         assert sorted(ids) == [float(i) for i in range(9)]
         assert len(set(ids)) == 9
 
     def test_split_is_shuffled(self):
         ds = self._dataset(20)
         kept, _ = split_dataset(ds, 0.5, seed=1)
-        ids = [float(x[0, 0]) for x, _ in kept.samples]
+        ids = kept.x[:, 0, 0].tolist()
         assert ids != sorted(ids)
 
     def test_fraction_bounds(self):
@@ -422,5 +421,5 @@ class TestSplitDataset:
     def test_take_produces_independent_copies(self):
         ds = self._dataset(6)
         kept, _ = split_dataset(ds, 0.5, seed=3)
-        kept.samples[0][0][:] = 999.0
-        assert not any(np.all(x == 999.0) for x, _ in ds.samples)
+        kept.x[0] = 999.0
+        assert not any(np.all(x == 999.0) for x in ds.x)

@@ -188,40 +188,40 @@ class TestBandMask:
         s = rfft(Tensor(np.ones(8)))
         m = band_mask(s, Tensor(0.25), KEEP_BELOW, tau=0.05)
         expected = [0.993307149076, 0.924141819979, 0.5, 0.075858180021, 0.006692850924]
-        np.testing.assert_allclose(m.values.data, expected, atol=1e-9)
+        np.testing.assert_allclose(m.data, expected, atol=1e-9)
 
     def test_keep_above_is_complement(self):
         s = rfft(Tensor(np.ones(8)))
         lo = band_mask(s, Tensor(0.25), KEEP_BELOW, tau=0.05)
         hi = band_mask(s, Tensor(0.25), KEEP_ABOVE, tau=0.05)
-        np.testing.assert_allclose(lo.values.data + hi.values.data, np.ones(5), atol=1e-12)
+        np.testing.assert_allclose(lo.data + hi.data, np.ones(5), atol=1e-12)
 
     def test_small_temperature_approaches_hard_gate(self):
         s = rfft(Tensor(np.ones(16)))
         m = band_mask(s, Tensor(0.2), KEEP_BELOW, tau=1e-4)
         freqs = np.arange(9) / 16.0
-        np.testing.assert_allclose(m.values.data[freqs < 0.2 - 0.01], 1.0, atol=1e-8)
-        np.testing.assert_allclose(m.values.data[freqs > 0.2 + 0.01], 0.0, atol=1e-8)
+        np.testing.assert_allclose(m.data[freqs < 0.2 - 0.01], 1.0, atol=1e-8)
+        np.testing.assert_allclose(m.data[freqs > 0.2 + 0.01], 0.0, atol=1e-8)
 
     def test_hard_limit_boundary_bin_reports_half(self):
         # bin exactly at the threshold sits at sigmoid(0) regardless of tau
         s = rfft(Tensor(np.ones(8)))
         m = band_mask(s, Tensor(0.25), KEEP_BELOW, tau=1e-6)
-        np.testing.assert_allclose(m.values.data[:2], 1.0, atol=1e-10)
-        np.testing.assert_allclose(m.values.data[2], 0.5, atol=1e-12)
-        np.testing.assert_allclose(m.values.data[3:], 0.0, atol=1e-10)
+        np.testing.assert_allclose(m.data[:2], 1.0, atol=1e-10)
+        np.testing.assert_allclose(m.data[2], 0.5, atol=1e-12)
+        np.testing.assert_allclose(m.data[3:], 0.0, atol=1e-10)
 
     def test_direct_sigmoid_evaluation_profile(self):
         s = rfft(Tensor(np.ones(16)))
         m = band_mask(s, Tensor(0.2), KEEP_BELOW, tau=0.02)
         freqs = np.arange(9) / 16.0
         expected = 1.0 / (1.0 + np.exp(-(0.2 - freqs) / 0.02))
-        np.testing.assert_allclose(m.values.data, expected, atol=1e-12)
+        np.testing.assert_allclose(m.data, expected, atol=1e-12)
 
     def test_monotone_profiles(self):
         s = rfft(Tensor(np.ones(32)))
-        below = band_mask(s, Tensor(0.3), KEEP_BELOW, tau=0.05).values.data
-        above = band_mask(s, Tensor(0.3), KEEP_ABOVE, tau=0.05).values.data
+        below = band_mask(s, Tensor(0.3), KEEP_BELOW, tau=0.05).data
+        above = band_mask(s, Tensor(0.3), KEEP_ABOVE, tau=0.05).data
         assert np.all(np.diff(below) <= 0) and np.all(np.diff(above) >= 0)
         assert np.all((below >= 0) & (below <= 1))
         assert np.all((above >= 0) & (above <= 1))
@@ -229,7 +229,7 @@ class TestBandMask:
     def test_threshold_above_nyquist_passes_everything(self):
         s = rfft(Tensor(np.ones(8)))
         m = band_mask(s, Tensor(0.75), KEEP_BELOW, tau=0.01)
-        np.testing.assert_allclose(m.values.data, np.ones(5), atol=1e-8)
+        np.testing.assert_allclose(m.data, np.ones(5), atol=1e-8)
 
     def test_invalid_temperature_rejected(self):
         s = rfft(Tensor(np.ones(8)))
@@ -247,7 +247,7 @@ class TestBandMask:
         s = rfft(Tensor(x))
         m = band_mask(s, Tensor(0.25), KEEP_BELOW, tau=0.05)
         out = apply_mask(s, m)
-        np.testing.assert_allclose(out.bins.data, s.bins.data * m.values.data, atol=1e-12)
+        np.testing.assert_allclose(out.bins.data, s.bins.data * m.data, atol=1e-12)
         assert out.n_time == 8
 
     def test_apply_mask_broadcasts_over_feature_axis(self):
@@ -257,7 +257,7 @@ class TestBandMask:
         m = band_mask(s, Tensor(0.3), KEEP_ABOVE, tau=0.05)
         out = apply_mask(s, m)
         np.testing.assert_allclose(
-            out.bins.data, s.bins.data * m.values.data[:, None], atol=1e-12
+            out.bins.data, s.bins.data * m.data[:, None], atol=1e-12
         )
 
     def test_apply_mask_bin_count_mismatch(self):

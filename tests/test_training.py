@@ -36,41 +36,41 @@ def tiny_config(**kw):
 
 def toy_separable(n_per_class=8, t=16):
     """Constant series vs linear ramps: linearly separable two-class corpus."""
-    samples = []
+    x = []
     rng = np.random.default_rng(0)
     for _ in range(n_per_class):
-        samples.append((np.full((1, t), 0.2 * rng.normal()), 0))
-        samples.append((np.linspace(-1, 1, t)[None, :] + 0.1 * rng.normal(), 1))
-    return SeriesDataset(samples, 2, 1, t, {"0": 0, "1": 1})
+        x.append(np.full((1, t), 0.2 * rng.normal()))
+        x.append(np.linspace(-1, 1, t)[None, :] + 0.1 * rng.normal())
+    return SeriesDataset(np.stack(x), np.tile([0, 1], n_per_class), 2, {"0": 0, "1": 1})
 
 
 class TestMakeMask:
     def test_zero_ratio_gives_all_zeros(self):
-        plan = make_mask((3, 10), 0.0, seed=1)
-        np.testing.assert_array_equal(plan.lam, np.zeros((3, 10)))
+        lam = make_mask((3, 10), 0.0, seed=1)
+        np.testing.assert_array_equal(lam, np.zeros((3, 10)))
 
     def test_exact_count_per_row(self):
-        plan = make_mask((4, 10), 0.5, seed=2)
-        np.testing.assert_array_equal(plan.lam.sum(axis=-1), np.full(4, 5.0))
-        assert set(np.unique(plan.lam)) <= {0.0, 1.0}
+        lam = make_mask((4, 10), 0.5, seed=2)
+        np.testing.assert_array_equal(lam.sum(axis=-1), np.full(4, 5.0))
+        assert set(np.unique(lam)) <= {0.0, 1.0}
 
     def test_rounding_rule(self):
-        plan = make_mask((1, 7), 0.4, seed=3)  # round(2.8) = 3
-        assert plan.lam.sum() == 3.0
+        lam = make_mask((1, 7), 0.4, seed=3)  # round(2.8) = 3
+        assert lam.sum() == 3.0
 
     def test_deterministic(self):
         a = make_mask((2, 3, 8), 0.4, seed=4)
         b = make_mask((2, 3, 8), 0.4, seed=4)
-        np.testing.assert_array_equal(a.lam, b.lam)
+        np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_plan(self):
         a = make_mask((4, 16), 0.5, seed=5)
         b = make_mask((4, 16), 0.5, seed=6)
-        assert not np.array_equal(a.lam, b.lam)
+        assert not np.array_equal(a, b)
 
     def test_rows_differ_within_a_plan(self):
-        plan = make_mask((8, 16), 0.5, seed=7)
-        assert len({row.tobytes() for row in plan.lam}) > 1
+        lam = make_mask((8, 16), 0.5, seed=7)
+        assert len({row.tobytes() for row in lam}) > 1
 
     def test_ratio_bounds(self):
         with pytest.raises(InputError):
@@ -268,7 +268,7 @@ class TestPretrain:
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_empty_dataset_rejected(self):
-        empty = SeriesDataset([], 2, 1, 16, {})
+        empty = SeriesDataset(np.zeros((0, 1, 16)), np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(InputError):
             pretrain(empty, tiny_config(pretrain_epochs=1))
 
@@ -308,8 +308,8 @@ class TestFinetune:
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_missing_class_warns(self):
-        samples = [(np.ones((1, 16)) * i, 0) for i in range(6)]
-        ds = SeriesDataset(samples, 2, 1, 16, {"0": 0, "x": 1})
+        x = np.arange(6.0)[:, None, None] * np.ones((1, 16))
+        ds = SeriesDataset(x, np.zeros(6, dtype=np.int64), 2, {"0": 0, "x": 1})
         with pytest.warns(UserWarning, match="absent"):
             finetune(ds, tiny_config(finetune_epochs=1), val_dataset=ds)
 
@@ -396,7 +396,7 @@ class TestNonFiniteTraining:
 
     def test_non_finite_pretraining_loss_names_its_step(self, tmp_path):
         ds = make_synthetic_freq_dataset(4, 16, [2.0, 5.0], 0.1, 0)
-        ds.samples[0][0][0, 3] = np.nan
+        ds.x[0, 0, 3] = np.nan
         path = tmp_path / "ckpt"
         config = tiny_config(pretrain_epochs=2, batch_size=8, mask_ratio=0.5)
         with pytest.raises(NonFiniteError, match="pretrain epoch 1 step "):
@@ -410,8 +410,7 @@ class TestEvaluate:
         config = tiny_config()
         model = build_model(config, ds.n_classes, ds.n_channels, ds.series_len)
         preds = predict_dataset(model, ds)
-        _, labels = ds.arrays()
-        acc, f1 = accuracy_and_macro_f1(preds, labels, ds.n_classes)
+        acc, f1 = accuracy_and_macro_f1(preds, ds.y, ds.n_classes)
         loss, acc2, f12 = evaluate(model, ds)
         assert (acc, f1) == (acc2, f12)
         assert np.isfinite(loss)
@@ -437,7 +436,7 @@ def motion_model_and_set():
 class TestRowBlocks:
     def test_blocked_results_match_one_forward(self, motion_model_and_set):
         model, ds = motion_model_and_set
-        x, y = ds.arrays()
+        x, y = ds.x, ds.y
         logits, _ = classify_batch(model, x)
         preds = np.argmax(logits.data, axis=-1)
         loss = batch_label_smoothed_ce(logits, y, model.config.label_smooth_eps).item()
