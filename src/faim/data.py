@@ -91,15 +91,15 @@ def load_univariate(path: str) -> SeriesDataset:
     """Delimited text, one line per sample: label, then T values."""
     with open_input(path) as fh:
         try:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
+            lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip()]
         except UnicodeDecodeError as exc:
             raise InputError(f"{path} is not UTF-8 text ({exc.reason})") from None
     if not lines:
         raise InputError(f"{path} contains no samples")
-    delimiter = "\t" if "\t" in lines[0] else ","
+    delimiter = "\t" if "\t" in lines[0][1] else ","
     raw_labels: list[str] = []
     rows: list[np.ndarray] = []
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in lines:
         tokens = [tok.strip() for tok in line.split(delimiter)]
         if len(tokens) < 2:
             raise InputError(f"{path} line {line_no}: need a label and at least one value")

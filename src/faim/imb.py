@@ -24,17 +24,24 @@ differences and the unrolled recurrence).
 
 The taped forward and its rule run over row blocks of the batch, each
 holding about ROW_BLOCK_BYTES of one stored [rows, Z, dim, state] array, so
-that every op of a block works in cache.  The stored arrays and one
-block's scratch are allocated once per call.  Every element goes through
-the same operations in the same order whatever the block size, so outputs
-and gradients are bitwise equal to one whole-batch pass.  The one
-reduction over (batch, token), the gradient of A, runs once over a
-full-size buffer after the block loop: summing per-block partial results
-would change it in the last digits.
+that every op of a block works in cache.  The blocks run on a thread pool
+with one worker per CPU this process may use (numpy releases the
+interpreter lock inside its loops); worker w takes blocks w, w + workers,
+and so on, in its own slice of scratch.  The tape-free path splits its
+rows into one contiguous chunk per worker.  The stored arrays and the
+scratch are allocated once per call.  Every element goes through the same
+operations in the same order whatever the block size or worker count, so
+outputs and gradients are bitwise equal to one whole-batch pass on one
+thread.  The one reduction over (batch, token), the gradient of A, runs
+once over a full-size buffer after the blocks: summing per-block partial
+results would change it in the last digits.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +92,47 @@ def discretize(A, B_t, delta_t):
 
 # Byte budget of one row block, sized to stay in a typical L2 cache.  The
 # taped scan fills its stored [rows, Z, dim, state] arrays this many bytes
-# at a time, and training.row_block sizes tape-free forwards from it.
-# Larger blocks stream every op through main memory; blocks of one or two
-# rows pay per-op overhead instead.
+# at a time, one block per worker at once, and training.row_block sizes
+# tape-free forwards from it.  Larger blocks stream every op through main
+# memory; blocks of one or two rows pay per-op overhead instead.
 ROW_BLOCK_BYTES = 2**20
+
+# One scan worker per CPU this process may use.  The pool starts its
+# threads on first use.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _start_pool() -> None:
+    global _POOL
+    _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="faim-scan")
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    # A forked child has none of its parent's threads, so the inherited pool
+    # would queue work that never runs.
+    os.register_at_fork(after_in_child=_start_pool)
+
+
+def _each(fn, blocks: list[slice]) -> None:
+    """Call fn(worker, blk) for every block; worker w takes blocks w,
+    w + workers, ...  Runs inline when one worker would take them all.  Each
+    worker runs in a copy of the caller's context, so the caller's
+    np.errstate, a context variable since numpy 2, holds there too."""
+    workers = min(_WORKERS, len(blocks))
+    if workers <= 1:
+        for blk in blocks:
+            fn(0, blk)
+        return
+
+    def share(w):
+        for blk in blocks[w::workers]:
+            fn(w, blk)
+
+    futures = [_POOL.submit(contextvars.copy_context().run, share, w) for w in range(workers)]
+    wait(futures)
+    for future in futures:
+        future.result()
 
 
 def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a: Tensor) -> Tensor:
@@ -104,18 +148,23 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
         # h_t = h_{t-1} + g·(h_{t-1} + x·B/A) with g = expm1(ΔA).
         y = np.empty_like(xd)
         inv_a = 1.0 / ad
-        h = np.zeros((n_batch, dim, ad.shape[-1]))
-        g = np.empty_like(h)
-        drive = np.empty_like(h)
-        for t in range(n_tok):
-            np.multiply(dd[:, t, :, None], ad, out=g)
-            np.expm1(g, out=g)
-            np.multiply(xd[:, t, :, None], inv_a, out=drive)
-            drive *= bd[:, t, None, :]
-            drive += h
-            drive *= g
-            h += drive
-            y[:, t] = np.matmul(h, cd[:, t, :, None])[..., 0]
+
+        def chunk(_, blk):
+            h = np.zeros((blk.stop - blk.start, dim, ad.shape[-1]))
+            g = np.empty_like(h)
+            drive = np.empty_like(h)
+            for t in range(n_tok):
+                np.multiply(dd[blk, t, :, None], ad, out=g)
+                np.expm1(g, out=g)
+                np.multiply(xd[blk, t, :, None], inv_a, out=drive)
+                drive *= bd[blk, t, None, :]
+                drive += h
+                drive *= g
+                h += drive
+                y[blk, t] = np.matmul(h, cd[blk, t, :, None])[..., 0]
+
+        workers = max(1, min(_WORKERS, n_batch))
+        _each(chunk, [slice(n_batch * w // workers, n_batch * (w + 1) // workers) for w in range(workers)])
         return Tensor(y)
 
     n_state = ad.shape[-1]
@@ -127,12 +176,12 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
     # default finetune step against 23k for three separate heap arrays.
     abar, phi, states = np.empty((3, n_batch, n_tok, dim, n_state))
     y = np.empty_like(xd)
-    # One block of scratch, allocated once per call: u = Δ·A in the
-    # forward, then the state gradient in the rule.
-    scratch = np.empty((rows, n_tok, dim, n_state))
-    for blk in blocks:
-        m = blk.stop - blk.start
-        u = scratch[:m]
+    # One block of scratch per worker, allocated once per call: u = Δ·A in
+    # the forward, then the state gradient in the rule.
+    scratch = np.empty((min(_WORKERS, len(blocks)), rows, n_tok, dim, n_state))
+
+    def forward_block(w, blk):
+        u = scratch[w, : blk.stop - blk.start]
         np.multiply(dd[blk, ..., None], ad, out=u)
         np.exp(u, out=abar[blk])
         _phi(u, out=phi[blk])
@@ -144,6 +193,8 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
         for t in range(1, n_tok):
             h[:, t] += a_blk[:, t] * h[:, t - 1]
         np.matmul(h, cd[blk, ..., None], out=y[blk, ..., None])
+
+    _each(forward_block, blocks)
     out = Tensor(y)
 
     def rule(gs):
@@ -153,9 +204,9 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
         d_b = np.empty_like(bd)
         d_c = np.empty_like(cd)
         du = np.empty_like(abar)
-        for blk in blocks:
-            m = blk.stop - blk.start
-            dh = scratch[:m]
+
+        def rule_block(w, blk):
+            dh = scratch[w, : blk.stop - blk.start]
             a_blk, phi_blk, du_blk = abar[blk], phi[blk], du[blk]
             np.matmul(gy[blk, :, None, :], states[blk], out=d_c[blk, :, None, :])
             np.multiply(gy[blk, ..., None], cd[blk, :, None, :], out=dh)
@@ -185,6 +236,8 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
             d_delta[blk] += s * xd[blk]
             np.matmul(dx[blk, :, None, :], dh, out=d_b[blk, :, None, :])
             np.multiply(s, dd[blk], out=d_x[blk])
+
+        _each(rule_block, blocks)
         # One reduction over every (batch, token): per-block partial sums
         # would change d_a in its last digits.
         d_a = np.einsum("btds,btd->ds", du, dd)

@@ -69,6 +69,12 @@ class TestLoadUnivariate:
         with pytest.raises(InputError, match=r"line 2, column 3: 'oops' is not numeric"):
             load_univariate(str(path))
 
+    def test_error_after_blank_line_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "u.tsv"
+        path.write_text("0\t1.0\t2.0\n\n1\t3.0\toops\n")
+        with pytest.raises(InputError, match=r"line 3, column 3: 'oops' is not numeric"):
+            load_univariate(str(path))
+
     def test_label_only_line_rejected(self, tmp_path):
         path = tmp_path / "u.tsv"
         path.write_text("0\t1.0\n justalabel \n")

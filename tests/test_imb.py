@@ -1,7 +1,12 @@
 """Selective scan and the interactive dual-branch block."""
 
 import dataclasses
+import os
+import signal
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -217,8 +222,9 @@ class TestSsmScan:
 
 
 class TestBlockedScan:
-    """The taped scan runs over row blocks sized from imb.ROW_BLOCK_BYTES;
-    every block size must give the bits of one whole-batch pass."""
+    """The taped scan runs over row blocks sized from imb.ROW_BLOCK_BYTES,
+    on a pool of imb._WORKERS threads; every block size and worker count
+    must give the bits of one whole-batch pass on one thread."""
 
     ROWS, TOKENS, DIM, STATE = 7, 6, 5, 3
 
@@ -244,12 +250,96 @@ class TestBlockedScan:
         grads = backward(tape, loss)
         return [y.data] + [grads[leaf] for leaf in leaves]
 
-    def test_outputs_and_gradients_are_bitwise_equal_across_block_sizes(self, monkeypatch):
+    @pytest.fixture
+    def use_workers(self, monkeypatch):
+        """Gives the scan n workers on a pool of its own, whatever the CPU
+        count.  Threads switch every microsecond meanwhile, so that workers
+        interleave even on these small blocks."""
+        pools = []
+
+        def use(n):
+            pools.append(ThreadPoolExecutor(n))
+            monkeypatch.setattr(imb, "_WORKERS", n)
+            monkeypatch.setattr(imb, "_POOL", pools[-1])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield use
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in pools:
+                pool.shutdown(wait=True)
+
+    def test_outputs_and_gradients_are_bitwise_equal_across_block_sizes(self, monkeypatch, use_workers):
+        # every block size, on 1, 2 and 3 workers, against one block on one
+        use_workers(1)
         whole = self._run(monkeypatch, self.ROWS)
-        for rows in (1, 3):
-            blocked = self._run(monkeypatch, rows)
-            for name, a, b in zip(("y", "x", "delta", "b", "c", "a"), whole, blocked):
-                assert np.array_equal(a, b), (rows, name)
+        for workers in (1, 2, 3):
+            use_workers(workers)
+            for rows in (1, 3) * 5:
+                blocked = self._run(monkeypatch, rows)
+                for name, a, b in zip(("y", "x", "delta", "b", "c", "a"), whole, blocked):
+                    assert np.array_equal(a, b), (workers, rows, name)
+
+    def test_tape_free_output_is_bitwise_equal_across_worker_counts(self, use_workers):
+        arrays, _ = self._inputs()
+        outputs = []
+        for workers in (1, 2, 3):
+            use_workers(workers)
+            outputs.append(_scan_primitive(*map(Tensor, arrays)).data)
+        assert all(np.array_equal(outputs[0], y) for y in outputs[1:])
+
+    def test_one_block_never_touches_the_pool(self, monkeypatch):
+        class RefusingPool:
+            def submit(self, *args):
+                raise AssertionError("a one-block scan submitted work to the pool")
+
+        monkeypatch.setattr(imb, "_WORKERS", 2)
+        monkeypatch.setattr(imb, "_POOL", RefusingPool())
+        # pretrain-tiny geometry: 8 rows of 16 tokens, dim 16, state 4
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(8, 16, 16))
+        leaves = [parameter(v) for v in (x, np_softplus(x), x[..., :4], x[..., 4:8], -np.ones((16, 4)))]
+        with Tape() as tape:
+            loss = tsum(_scan_primitive(*leaves))
+        backward(tape, loss)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_scans_on_a_pool_of_its_own(self, use_workers):
+        use_workers(2)
+        arrays, _ = self._inputs()
+        y = _scan_primitive(*map(Tensor, arrays)).data  # the pool's threads now run
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.write(write_end, _scan_primitive(*map(Tensor, arrays)).data.tobytes())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        deadline = time.monotonic() + 30
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's scan did not finish")
+            time.sleep(0.01)
+        with os.fdopen(read_end, "rb") as fh:
+            assert fh.read() == y.tobytes()
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_worker_blocks_keep_the_callers_error_state(self, monkeypatch, use_workers, taped):
+        use_workers(2)
+        monkeypatch.setattr(imb, "ROW_BLOCK_BYTES", self.TOKENS * self.DIM * self.STATE * 8)
+        (x, delta, b, c, _), _ = self._inputs()
+        a = np.full((self.DIM, self.STATE), 1e3)  # exp(Δ·A) overflows
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            if taped:
+                with Tape():
+                    _scan_primitive(*map(parameter, (x, np.ones_like(delta), b, c, a)))
+            else:
+                _scan_primitive(*map(Tensor, (x, np.ones_like(delta), b, c, a)))
 
 
 class TestImbBranch:
