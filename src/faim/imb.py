@@ -24,13 +24,12 @@ differences and the unrolled recurrence).
 
 The taped forward and its rule run over row blocks of the batch, each
 holding about ROW_BLOCK_BYTES of one stored [rows, Z, dim, state] array, so
-that every op of a block works in cache.  The blocks run on a thread pool
-with one worker per CPU this process may use (numpy releases the
-interpreter lock inside its loops); worker w takes blocks w, w + workers,
-and so on, in its own slice of scratch.  The tape-free path splits its
-rows into one contiguous chunk per worker.  The stored arrays and the
+that every op of a block works in cache.  The blocks run on one thread per
+CPU this process may use, the calling thread among them (numpy releases
+the interpreter lock inside its loops); each thread takes the next block
+not yet taken, in its own slice of scratch.  The stored arrays and the
 scratch are allocated once per call.  Every element goes through the same
-operations in the same order whatever the block size or worker count, so
+operations in the same order whatever the block size or thread count, so
 outputs and gradients are bitwise equal to one whole-batch pass on one
 thread.  The one reduction over (batch, token), the gradient of A, runs
 once over a full-size buffer after the blocks: summing per-block partial
@@ -39,9 +38,9 @@ results would change it in the last digits.
 
 from __future__ import annotations
 
-import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,47 +91,61 @@ def discretize(A, B_t, delta_t):
 
 # Byte budget of one row block, sized to stay in a typical L2 cache.  The
 # taped scan fills its stored [rows, Z, dim, state] arrays this many bytes
-# at a time, one block per worker at once, and training.row_block sizes
+# at a time, one block per thread at once, and training.row_block sizes
 # tape-free forwards from it.  Larger blocks stream every op through main
 # memory; blocks of one or two rows pay per-op overhead instead.
 ROW_BLOCK_BYTES = 2**20
 
-# One scan worker per CPU this process may use.  The pool starts its
-# threads on first use.
+# One scan thread per CPU this process may use: the calling thread and a
+# pool of helpers, which starts its threads on first use.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _start_pool() -> None:
     global _POOL
-    _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="faim-scan")
+    _POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="faim-scan")
 
 
 _start_pool()
 if hasattr(os, "register_at_fork"):
-    # A forked child has none of its parent's threads, so the inherited pool
-    # would queue work that never runs.
+    # A forked child has none of its parent's threads, and the inherited
+    # pool's locks may have been held at the fork.
     os.register_at_fork(after_in_child=_start_pool)
 
 
 def _each(fn, blocks: list[slice]) -> None:
-    """Call fn(worker, blk) for every block; worker w takes blocks w,
-    w + workers, ...  Runs inline when one worker would take them all.  Each
-    worker runs in a copy of the caller's context, so the caller's
-    np.errstate, a context variable since numpy 2, holds there too."""
+    """Call fn(worker, blk) for every block, inline when there is one block
+    or one CPU.  Otherwise the calling thread is worker 0 and pool helpers
+    1, 2, ... join it; each takes the next block not yet taken, so a thread
+    that starts late or runs slow takes fewer, and a helper that has not
+    started when the blocks run out is cancelled, not waited for.  Helpers
+    run under the caller's np.errstate."""
     workers = min(_WORKERS, len(blocks))
     if workers <= 1:
         for blk in blocks:
             fn(0, blk)
         return
 
-    def share(w):
-        for blk in blocks[w::workers]:
-            fn(w, blk)
+    todo = iter(blocks)
+    lock = threading.Lock()
+    errors = np.geterr()
 
-    futures = [_POOL.submit(contextvars.copy_context().run, share, w) for w in range(workers)]
-    wait(futures)
-    for future in futures:
-        future.result()
+    def share(w):
+        with np.errstate(**errors):
+            while True:
+                with lock:
+                    blk = next(todo, None)
+                if blk is None:
+                    return
+                fn(w, blk)
+
+    helpers = [_POOL.submit(share, w) for w in range(1, workers)]
+    try:
+        share(0)
+    finally:
+        for helper in helpers:
+            if not helper.cancel():
+                helper.result()
 
 
 def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a: Tensor) -> Tensor:
@@ -148,23 +161,18 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
         # h_t = h_{t-1} + g·(h_{t-1} + x·B/A) with g = expm1(ΔA).
         y = np.empty_like(xd)
         inv_a = 1.0 / ad
-
-        def chunk(_, blk):
-            h = np.zeros((blk.stop - blk.start, dim, ad.shape[-1]))
-            g = np.empty_like(h)
-            drive = np.empty_like(h)
-            for t in range(n_tok):
-                np.multiply(dd[blk, t, :, None], ad, out=g)
-                np.expm1(g, out=g)
-                np.multiply(xd[blk, t, :, None], inv_a, out=drive)
-                drive *= bd[blk, t, None, :]
-                drive += h
-                drive *= g
-                h += drive
-                y[blk, t] = np.matmul(h, cd[blk, t, :, None])[..., 0]
-
-        workers = max(1, min(_WORKERS, n_batch))
-        _each(chunk, [slice(n_batch * w // workers, n_batch * (w + 1) // workers) for w in range(workers)])
+        h = np.zeros((n_batch, dim, ad.shape[-1]))
+        g = np.empty_like(h)
+        drive = np.empty_like(h)
+        for t in range(n_tok):
+            np.multiply(dd[:, t, :, None], ad, out=g)
+            np.expm1(g, out=g)
+            np.multiply(xd[:, t, :, None], inv_a, out=drive)
+            drive *= bd[:, t, None, :]
+            drive += h
+            drive *= g
+            h += drive
+            y[:, t] = np.matmul(h, cd[:, t, :, None])[..., 0]
         return Tensor(y)
 
     n_state = ad.shape[-1]
@@ -176,7 +184,7 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
     # default finetune step against 23k for three separate heap arrays.
     abar, phi, states = np.empty((3, n_batch, n_tok, dim, n_state))
     y = np.empty_like(xd)
-    # One block of scratch per worker, allocated once per call: u = Δ·A in
+    # One block of scratch per thread, allocated once per call: u = Δ·A in
     # the forward, then the state gradient in the rule.
     scratch = np.empty((min(_WORKERS, len(blocks)), rows, n_tok, dim, n_state))
 

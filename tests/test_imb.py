@@ -4,9 +4,10 @@ import dataclasses
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -223,8 +224,9 @@ class TestSsmScan:
 
 class TestBlockedScan:
     """The taped scan runs over row blocks sized from imb.ROW_BLOCK_BYTES,
-    on a pool of imb._WORKERS threads; every block size and worker count
-    must give the bits of one whole-batch pass on one thread."""
+    on imb._WORKERS threads: the caller and imb._POOL's helpers.  Every
+    block size and thread count must give the bits of one whole-batch pass
+    on one thread."""
 
     ROWS, TOKENS, DIM, STATE = 7, 6, 5, 3
 
@@ -252,13 +254,14 @@ class TestBlockedScan:
 
     @pytest.fixture
     def use_workers(self, monkeypatch):
-        """Gives the scan n workers on a pool of its own, whatever the CPU
-        count.  Threads switch every microsecond meanwhile, so that workers
-        interleave even on these small blocks."""
+        """Gives the scan n threads, the caller and n - 1 helpers on a pool
+        of its own, whatever the CPU count.  Threads switch every
+        microsecond meanwhile, so that they interleave even on these small
+        blocks."""
         pools = []
 
         def use(n):
-            pools.append(ThreadPoolExecutor(n))
+            pools.append(ThreadPoolExecutor(max(1, n - 1)))
             monkeypatch.setattr(imb, "_WORKERS", n)
             monkeypatch.setattr(imb, "_POOL", pools[-1])
 
@@ -305,41 +308,64 @@ class TestBlockedScan:
             loss = tsum(_scan_primitive(*leaves))
         backward(tape, loss)
 
+    def test_helpers_that_never_start_are_not_waited_for(self, monkeypatch):
+        class NeverStarts(Future):
+            def result(self, timeout=None):
+                raise AssertionError("waited for a helper that never started")
+
+        class StalledPool:
+            def submit(self, *args):
+                return NeverStarts()
+
+        monkeypatch.setattr(imb, "_WORKERS", 3)
+        monkeypatch.setattr(imb, "_POOL", StalledPool())
+        taken = []
+        imb._each(lambda w, blk: taken.append((w, blk.start)), [slice(r, r + 1) for r in range(4)])
+        assert taken == [(0, 0), (0, 1), (0, 2), (0, 3)]
+
+    def test_helpers_run_under_the_callers_error_state(self, use_workers):
+        use_workers(2)
+        # each thread holds its first block until the other has taken one
+        both_in = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def fn(w, blk):
+            if w not in seen:
+                seen[w] = np.geterr()["over"]
+                both_in.wait()
+
+        with np.errstate(over="raise"):
+            imb._each(fn, [slice(r, r + 1) for r in range(3)])
+        assert seen == {0: "raise", 1: "raise"}
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_scans_on_a_pool_of_its_own(self, use_workers):
         use_workers(2)
         arrays, _ = self._inputs()
-        y = _scan_primitive(*map(Tensor, arrays)).data  # the pool's threads now run
+        y = _scan_primitive(*map(Tensor, arrays)).data
+        imb._POOL.submit(int).result(timeout=10)  # the pool's thread now runs
         read_end, write_end = os.pipe()
         pid = os.fork()
         if pid == 0:
+            code = 1
             try:
                 os.write(write_end, _scan_primitive(*map(Tensor, arrays)).data.tobytes())
+                # times out on the inherited pool, which has no threads
+                imb._POOL.submit(int).result(timeout=10)
+                code = 0
             finally:
-                os._exit(0)
+                os._exit(code)
         os.close(write_end)
         deadline = time.monotonic() + 30
-        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        while (status := os.waitpid(pid, os.WNOHANG)) == (0, 0):
             if time.monotonic() > deadline:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
                 pytest.fail("the forked child's scan did not finish")
             time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
         with os.fdopen(read_end, "rb") as fh:
             assert fh.read() == y.tobytes()
-
-    @pytest.mark.parametrize("taped", [False, True])
-    def test_worker_blocks_keep_the_callers_error_state(self, monkeypatch, use_workers, taped):
-        use_workers(2)
-        monkeypatch.setattr(imb, "ROW_BLOCK_BYTES", self.TOKENS * self.DIM * self.STATE * 8)
-        (x, delta, b, c, _), _ = self._inputs()
-        a = np.full((self.DIM, self.STATE), 1e3)  # exp(Δ·A) overflows
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            if taped:
-                with Tape():
-                    _scan_primitive(*map(parameter, (x, np.ones_like(delta), b, c, a)))
-            else:
-                _scan_primitive(*map(Tensor, (x, np.ones_like(delta), b, c, a)))
 
 
 class TestImbBranch:
