@@ -67,7 +67,9 @@ class LayerActivations:
 
 
 def init_psi_filter(dim: int, rng: CounterRng) -> PsiFilter:
-    """Random near-zero filter with a hidden width of dim."""
+    """Random filter with a hidden width of dim.  Each weight matrix is
+    drawn at std 1/sqrt(fan_in) and the biases are zero, so the filter's
+    values start of order one, not near zero."""
     width = 2 * dim
     return PsiFilter(
         w1=parameter(rng.normal((width, dim), std=1.0 / np.sqrt(width))),

@@ -137,7 +137,7 @@ def _score_test(cfg: dict, model, meta: dict, report: TrainReport) -> float:
     """Add the test split's row and metrics to ``report``; returns the test loss."""
     test = _load_test_like(cfg, meta)
     loss, acc, f1 = evaluate(model, test, cfg["train.batch_size"])
-    report.add(0, "test", loss, acc, f1, 0.0)
+    report.add(0, "test", loss, acc, f1)
     report.summary["test_accuracy"] = repr(acc)
     report.summary["test_macro_f1"] = repr(f1)
     return loss
@@ -145,18 +145,18 @@ def _score_test(cfg: dict, model, meta: dict, report: TrainReport) -> float:
 
 def _cmd_pretrain(cfg: dict, out_dir: Path) -> None:
     started = time.perf_counter()
-    dataset = _load_train(cfg)
     model_cfg = model_config(cfg)
+    dataset = _load_train(cfg)
     _, report = pretrain(dataset, model_cfg, checkpoint_path=str(out_dir / "checkpoint"))
     report.summary["wall_seconds"] = f"{time.perf_counter() - started:.3f}"
-    _write(out_dir / "report.csv", report.to_csv(include_timing=False))
+    _write(out_dir / "report.csv", report.to_csv())
     _write(out_dir / "summary", report.summary_text())
 
 
 def _cmd_finetune(cfg: dict, out_dir: Path) -> None:
     started = time.perf_counter()
-    dataset = _load_train(cfg)
     model_cfg = model_config(cfg)
+    dataset = _load_train(cfg)
     init = None
     meta = {}
     if cfg["finetune.init"]:
@@ -169,7 +169,7 @@ def _cmd_finetune(cfg: dict, out_dir: Path) -> None:
     if cfg["data.test"]:
         _score_test(cfg, model, dataset_meta(dataset, model_cfg), report)
     report.summary["wall_seconds"] = f"{time.perf_counter() - started:.3f}"
-    _write(out_dir / "report.csv", report.to_csv(include_timing=False))
+    _write(out_dir / "report.csv", report.to_csv())
     _write(out_dir / "summary", report.summary_text())
 
 
@@ -179,7 +179,7 @@ def _cmd_eval(cfg: dict, out_dir: Path) -> None:
     model, meta = load_checkpoint(cfg["eval.checkpoint"])
     report = TrainReport()
     report.summary["test_loss"] = repr(_score_test(cfg, model, meta, report))
-    _write(out_dir / "report.csv", report.to_csv(include_timing=False))
+    _write(out_dir / "report.csv", report.to_csv())
     _write(out_dir / "summary", report.summary_text())
 
 

@@ -9,7 +9,6 @@ features pool by mean over tokens and channels before the class head.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
@@ -72,10 +71,18 @@ class FaimConfig:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.n_layers < 1:
             raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
+        for name in ("ssm_state", "conv_k1", "conv_k2", "conv_k3"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.tau > 0:
+            raise ConfigError(f"tau must be > 0, got {self.tau}")
         if not 0 <= self.mask_ratio < 1:
             raise ConfigError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
         if not 0 <= self.label_smooth_eps < 1:
             raise ConfigError(f"label_smooth_eps must be in [0, 1), got {self.label_smooth_eps}")
+        for name in ("pretrain_epochs", "finetune_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch_size < 1 or self.batch_size > 256:
             raise ConfigError(f"batch_size must be in [1, 256], got {self.batch_size}")
         if self.variant not in VARIANTS:
@@ -121,6 +128,9 @@ class FaimModel:
     cls_b: Tensor = None
     recon_w: Tensor = None
     recon_b: Tensor = None
+    # Every parameter's values, in named_parameters order; each parameter's
+    # ``data`` is a view into it.
+    values: np.ndarray = None
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         """(attribute path, tensor) of every parameter, in declaration order."""
@@ -128,6 +138,25 @@ class FaimModel:
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
+
+    def layout(self):
+        """(name, tensor, offset in ``values``) of every parameter: they lie
+        end to end in named_parameters order."""
+        start = 0
+        for name, tensor in self.named_parameters():
+            yield name, tensor, start
+            start += tensor.size
+
+    def gradient(self, grads: dict[Tensor, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """``backward``'s gradients laid out like ``values``, and the mask of
+        the values whose parameter received one; the rest are zero."""
+        grad = np.zeros_like(self.values)
+        touched = np.zeros(self.values.shape, dtype=bool)
+        for _, tensor, start in self.layout():
+            if tensor in grads:
+                grad[start : start + tensor.size] = grads[tensor].ravel()
+                touched[start : start + tensor.size] = True
+        return grad, touched
 
 
 def _named_tensors(value, prefix: str = ""):
@@ -206,6 +235,9 @@ def build_model(config: FaimConfig, n_classes: int, n_channels: int, series_len:
                 ln_beta=parameter(np.zeros(dim)),
             )
         )
+    model.values = np.concatenate([t.data.ravel() for t in model.parameters()])
+    for _, tensor, start in model.layout():
+        tensor.data = model.values[start : start + tensor.size].reshape(tensor.shape)
     return model
 
 
@@ -339,16 +371,13 @@ def save_checkpoint(model: FaimModel, path: str, meta: dict | None = None) -> No
 
     The header stores the config, a parameter manifest (name, shape, offset
     in values), and caller metadata (label map, normalization stats, seed).
-    Byte output is deterministic for identical model state.
+    The blob is ``model.values``.  Byte output is deterministic for identical
+    model state.
     """
-    manifest = []
-    blob = io.BytesIO()
-    offset = 0
-    for name, tensor in model.named_parameters():
-        arr = np.asarray(tensor.data, dtype=np.float64)
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blob.write(arr.tobytes())
-        offset += arr.size
+    manifest = [
+        {"name": name, "shape": list(tensor.shape), "offset": start}
+        for name, tensor, start in model.layout()
+    ]
     header = {
         "config": asdict(model.config),
         "n_classes": model.n_classes,
@@ -359,7 +388,7 @@ def save_checkpoint(model: FaimModel, path: str, meta: dict | None = None) -> No
         "params": manifest,
     }
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    write_atomic(path, MAGIC + len(encoded).to_bytes(8, "little") + encoded + blob.getvalue())
+    write_atomic(path, MAGIC + len(encoded).to_bytes(8, "little") + encoded + model.values.tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[FaimModel, dict]:
@@ -391,7 +420,7 @@ def load_checkpoint(path: str) -> tuple[FaimModel, dict]:
             f"(first unknown name: {next(iter(unknown), 'none')}; "
             f"first missing name: {next(iter(missing), 'none')})"
         )
-    n_values = sum(tensor.data.size for tensor in by_name.values())
+    n_values = model.values.size
     if len(raw) - blob_start != 8 * n_values:
         raise InputError(
             f"{path} holds {len(raw) - blob_start} parameter bytes; its manifest needs {8 * n_values}"
@@ -403,6 +432,5 @@ def load_checkpoint(path: str) -> tuple[FaimModel, dict]:
             raise ShapeError(f"checkpoint shape {shape} for {name} mismatches {tensor.data.shape}")
         if not 0 <= offset <= n_values - tensor.data.size:
             raise InputError(f"{path} places {name} outside its parameter blob")
-        chunk = values[offset : offset + tensor.data.size].reshape(shape)
-        tensor.data = chunk.copy()
+        tensor.data[...] = values[offset : offset + tensor.data.size].reshape(shape)
     return model, meta

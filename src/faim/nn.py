@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import ShapeError
-from .tensor import Tensor, add, as_tensor, div, matmul, mul, narrow, pad_axis, tmean, tsqrt
+from .tensor import Tensor, add, div, matmul, mul, narrow, pad_axis, sub, tmean, tsqrt
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -41,7 +41,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
     mean = tmean(x, axis=-1, keepdims=True)
-    centered = x - mean
+    centered = sub(x, mean)
     var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    scale = div(centered, tsqrt(var + as_tensor(eps)))
+    scale = div(centered, tsqrt(add(var, Tensor(eps))))
     return add(mul(scale, gamma), beta)

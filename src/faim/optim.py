@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor
 
 
 @dataclass
 class AdamWState:
-    """Optimizer moments and hyperparameters for one parameter list."""
+    """Optimizer moments and hyperparameters for one parameter vector."""
 
     lr: float = 1e-3
     beta1: float = 0.9
@@ -20,41 +19,35 @@ class AdamWState:
     eps: float = 1e-8
     weight_decay: float = 1e-4
     step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-    def ensure(self, params: list[Tensor]) -> None:
-        if not self.m:
-            self.m = [np.zeros(p.shape) for p in params]
-            self.v = [np.zeros(p.shape) for p in params]
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adamw_step(params: list[Tensor], grads: list[np.ndarray | None], state: AdamWState):
-    """One decoupled-weight-decay Adam step, updating params in place.
+def adamw_step(values: np.ndarray, grad: np.ndarray, touched: np.ndarray, state: AdamWState):
+    """One decoupled-weight-decay Adam step, updating ``values`` in place.
 
-    Decay multiplies each parameter by (1 − lr·weight_decay) before the
-    gradient step, so a zero-gradient parameter still shrinks by exactly
-    that factor.  Parameters whose gradient is None are left untouched.
+    ``grad`` is laid out like ``values``; ``touched`` marks the values whose
+    parameter received a gradient.  Decay multiplies each touched value by
+    (1 − lr·weight_decay) before the gradient step, so a zero gradient still
+    shrinks it by exactly that factor.  Values outside ``touched`` keep their
+    exact bits, and so do their moments.
     """
-    state.ensure(params)
-    if len(grads) != len(params) or len(state.m) != len(params):
-        raise ShapeError("params, grads, and moments must align")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(values), np.zeros_like(values)
+    if not values.shape == grad.shape == touched.shape == state.m.shape:
+        raise ShapeError(
+            f"values {values.shape}, gradient {grad.shape}, mask {touched.shape} "
+            f"and moments {state.m.shape} must align"
+        )
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            continue
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        if state.weight_decay:
-            p.data *= 1.0 - state.lr * state.weight_decay
-        m = state.m[i]
-        v = state.v[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params, state
+    m, v = state.m, state.v
+    np.multiply(values, 1.0 - state.lr * state.weight_decay, out=values, where=touched)
+    np.multiply(m, state.beta1, out=m, where=touched)
+    np.add(m, (1.0 - state.beta1) * grad, out=m, where=touched)
+    np.multiply(v, state.beta2, out=v, where=touched)
+    np.add(v, (1.0 - state.beta2) * (grad * grad), out=v, where=touched)
+    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    np.subtract(values, step, out=values, where=touched)

@@ -78,7 +78,7 @@ def record(inputs, outputs, rule) -> None:
 class Tensor:
     """N-dimensional real or complex array, optionally tracked on a tape."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -87,7 +87,6 @@ class Tensor:
         else:
             arr = arr.astype(REAL, copy=False)
         self.data = arr
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
 
     # -- introspection ------------------------------------------------------
@@ -105,10 +104,6 @@ class Tensor:
         return self.data.size
 
     @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
     def is_complex(self):
         return self.data.dtype == COMPLEX
 
@@ -117,46 +112,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    # -- operators ----------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(value) -> Tensor:
@@ -530,9 +485,8 @@ def make_complex(re: Tensor, im: Tensor) -> Tensor:
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse sweep over the tape from a scalar loss.
 
-    Returns ``{leaf: gradient}`` for every trainable leaf reached, and also
-    stores each gradient on ``leaf.grad``.  Non-trainable leaves receive
-    nothing.
+    Returns ``{leaf: gradient}`` for every trainable leaf reached.
+    Non-trainable leaves receive nothing.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -573,6 +527,5 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
             continue
         if g.shape != leaf.shape:
             g = g.reshape(leaf.shape)
-        leaf.grad = g
         result[leaf] = g
     return result

@@ -9,7 +9,6 @@ stages are deterministic functions of (dataset, config.seed).
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ from .model import (
 )
 from .optim import AdamWState, adamw_step
 from .rng import CounterRng, derive_seed
-from .tensor import Tape, Tensor, backward, mul, neg, reshape, sub, texp, tlog, tsum
+from .tensor import Tape, Tensor, backward, mul, neg, reshape, sub, texp, tlog, tmean, tsum
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +79,7 @@ def masked_mse(x_true, x_hat: Tensor, lam) -> Tensor:
     if total == 0.0:
         return Tensor(0.0)
     diff = sub(x_hat, Tensor(x_true))
-    per_patch = mul(diff, diff).mean(axis=-1)
+    per_patch = tmean(mul(diff, diff), axis=-1)
     weighted = mul(per_patch, Tensor(lam))
     return mul(tsum(weighted), Tensor(1.0 / total))
 
@@ -125,7 +124,7 @@ def batch_label_smoothed_ce(logits: Tensor, labels: np.ndarray, eps: float) -> T
 # reports
 # ---------------------------------------------------------------------------
 
-REPORT_COLUMNS = ("epoch", "split", "loss", "accuracy", "macro_f1", "seconds")
+REPORT_COLUMNS = ("epoch", "split", "loss", "accuracy", "macro_f1")
 
 
 @dataclass
@@ -135,7 +134,6 @@ class EpochRow:
     loss: float | None
     accuracy: float | None
     macro_f1: float | None
-    seconds: float
 
 
 @dataclass
@@ -143,24 +141,19 @@ class TrainReport:
     rows: list[EpochRow] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
-    def add(self, epoch, split, loss, accuracy, macro_f1, seconds) -> None:
-        self.rows.append(EpochRow(epoch, split, loss, accuracy, macro_f1, seconds))
+    def add(self, epoch, split, loss, accuracy, macro_f1) -> None:
+        self.rows.append(EpochRow(epoch, split, loss, accuracy, macro_f1))
 
-    def to_csv(self, include_timing: bool = True) -> str:
-        """CSV rows; ``include_timing=False`` zeroes the seconds column so the
-        file is byte-identical across re-runs (wall time then lives only in
-        the summary)."""
+    def to_csv(self) -> str:
+        """CSV rows, byte-identical across re-runs: wall time lives only in
+        the summary."""
 
         def cell(v):
             return "" if v is None else repr(float(v))
 
         lines = [",".join(REPORT_COLUMNS)]
         for r in self.rows:
-            seconds = r.seconds if include_timing else 0.0
-            lines.append(
-                f"{r.epoch},{r.split},{cell(r.loss)},{cell(r.accuracy)},"
-                f"{cell(r.macro_f1)},{cell(seconds)}"
-            )
+            lines.append(f"{r.epoch},{r.split},{cell(r.loss)},{cell(r.accuracy)},{cell(r.macro_f1)}")
         return "\n".join(lines) + "\n"
 
     def summary_text(self) -> str:
@@ -211,15 +204,6 @@ def evaluate(model: FaimModel, dataset: SeriesDataset, batch_size: int = 256):
     return loss.item(), accuracy, macro_f1
 
 
-def _snapshot(model: FaimModel) -> list[np.ndarray]:
-    return [t.data.copy() for t in model.parameters()]
-
-
-def _restore(model: FaimModel, snapshot: list[np.ndarray]) -> None:
-    for tensor, data in zip(model.parameters(), snapshot):
-        tensor.data = data.copy()
-
-
 def _check_loss(loss: float, stage: str, epoch: int, step: int) -> None:
     if not math.isfinite(loss):
         raise NonFiniteError(f"{stage} epoch {epoch} step {step}: the training loss is {loss!r}")
@@ -247,18 +231,18 @@ def pretrain(
     A non-finite step loss, or a parameter left non-finite at the end of an
     epoch, raises NonFiniteError before any checkpoint is written.
     """
+    if config.variant == "no_pretrain":
+        raise ConfigError("variant no_pretrain is never pretrained; finetune it without an init model")
     if len(dataset) == 0:
         raise InputError("cannot pretrain on an empty dataset")
     x = dataset.x
     model = build_model(config, dataset.n_classes, dataset.n_channels, dataset.series_len)
-    params = model.parameters()
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
     shuffle_rng = CounterRng(derive_seed(config.seed, "pretrain-shuffle"))
     report = TrainReport()
     best_loss = np.inf
-    best_state = _snapshot(model)
+    best_state = model.values.copy()
     for epoch in range(1, config.pretrain_epochs + 1):
-        started = time.perf_counter()
         order = shuffle_rng.permutation(len(x))
         epoch_loss = 0.0
         for step, start in enumerate(range(0, len(x), config.batch_size)):
@@ -273,15 +257,15 @@ def pretrain(
                 loss = masked_mse(reference_patches(xb, model), recon, lam)
             _check_loss(loss.item(), "pretrain", epoch, step + 1)
             grads = backward(tape, loss)
-            adamw_step(params, [grads.get(t) for t in params], opt)
+            adamw_step(model.values, *model.gradient(grads), opt)
             epoch_loss += loss.item() * len(xb)
         _check_parameters(model, "pretrain", epoch, step + 1)
         epoch_loss /= len(x)
         if epoch_loss < best_loss:
             best_loss = epoch_loss
-            best_state = _snapshot(model)
-        report.add(epoch, "pretrain", epoch_loss, None, None, time.perf_counter() - started)
-    _restore(model, best_state)
+            best_state = model.values.copy()
+        report.add(epoch, "pretrain", epoch_loss, None, None)
+    model.values[...] = best_state
     report.summary["stage"] = "pretrain"
     report.summary["best_loss"] = repr(best_loss)
     report.summary["epochs"] = config.pretrain_epochs
@@ -326,15 +310,13 @@ def finetune(
         model = init
         model.config = config
     x, y = train_set.x, train_set.y
-    params = model.parameters()
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
     shuffle_rng = CounterRng(derive_seed(config.seed, "finetune-shuffle"))
     report = TrainReport()
     best_acc = -1.0
     best_epoch = 0
-    best_state = _snapshot(model)
+    best_state = model.values.copy()
     for epoch in range(1, config.finetune_epochs + 1):
-        started = time.perf_counter()
         order = shuffle_rng.permutation(len(x))
         epoch_loss = 0.0
         for step, start in enumerate(range(0, len(x), config.batch_size)):
@@ -344,19 +326,18 @@ def finetune(
                 loss = batch_label_smoothed_ce(logits, y[idx], config.label_smooth_eps)
             _check_loss(loss.item(), "finetune", epoch, step + 1)
             grads = backward(tape, loss)
-            adamw_step(params, [grads.get(t) for t in params], opt)
+            adamw_step(model.values, *model.gradient(grads), opt)
             epoch_loss += loss.item() * len(idx)
         _check_parameters(model, "finetune", epoch, step + 1)
         epoch_loss /= len(x)
-        seconds = time.perf_counter() - started
         val_loss, val_acc, val_f1 = evaluate(model, val_set, config.batch_size)
         if val_acc >= best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_state = _snapshot(model)
-        report.add(epoch, "train", epoch_loss, None, None, seconds)
-        report.add(epoch, "val", val_loss, val_acc, val_f1, 0.0)
-    _restore(model, best_state)
+            best_state = model.values.copy()
+        report.add(epoch, "train", epoch_loss, None, None)
+        report.add(epoch, "val", val_loss, val_acc, val_f1)
+    model.values[...] = best_state
     report.summary["stage"] = "finetune"
     report.summary["best_val_accuracy"] = repr(best_acc)
     report.summary["best_epoch"] = best_epoch

@@ -11,6 +11,8 @@ import faim.afb
 import faim.imb
 import faim.model
 import faim.training
+from faim.data import make_synthetic_freq_dataset
+from faim.model import FaimConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,3 +46,18 @@ def test_workload_setup_reads_its_inputs(tmp_path, name, samples, channels, seri
     state = workloads.setup(workload, 0, tmp_path, lambda _, fn, *args, **kwargs: fn(*args, **kwargs))
     dataset = state["dataset"]
     assert (len(dataset), dataset.n_channels, dataset.series_len) == (samples, channels, series_len)
+
+
+def test_tracer_counts_one_optimizer_step_per_training_step():
+    spans = _load("spans")
+    dataset = make_synthetic_freq_dataset(4, 16, [2.0, 5.0], 0.1, 0)  # 8 samples
+    config = FaimConfig(patch_len=4, embed_dim=8, n_layers=1, ssm_state=4, batch_size=4, pretrain_epochs=2)
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        faim.training.pretrain(dataset, config)
+    finally:
+        rec.uninstall()
+    metrics = spans.layer_metrics(rec)
+    assert metrics["optim.steps"] == len(spans.step_seconds(rec.spans)) == 4
+    assert metrics["tensor.tape_nodes_per_step"] > 0

@@ -276,9 +276,7 @@ class TestVariants:
             loss = tsum(mul(logits, logits))
         grads = backward(tape, loss)
         assert np.isfinite(loss.item())
-        params = model.parameters()
-        state = AdamWState(lr=1e-3)
-        adamw_step(params, [grads.get(p) for p in params], state)
+        adamw_step(model.values, *model.gradient(grads), AdamWState(lr=1e-3))
         logits2, _ = classify_batch(model, x)
         assert np.all(np.isfinite(logits2.data))
 
@@ -314,6 +312,48 @@ class TestVariants:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             tiny_config(variant="no_everything")
+
+    def test_gradient_is_laid_out_like_values(self):
+        model = build_model(tiny_config(variant="no_afb"), 2, 1, 16)
+        with Tape() as tape:
+            logits, _ = classify_batch(model, np.random.default_rng(0).normal(size=(2, 1, 16)))
+            loss = tsum(mul(logits, logits))
+        grads = backward(tape, loss)
+        grad, touched = model.gradient(grads)
+        start = 0
+        for name, t in model.named_parameters():
+            end = start + t.size
+            if t in grads:
+                assert touched[start:end].all(), name
+                assert grad[start:end].tobytes() == grads[t].tobytes(), name
+            else:
+                assert not touched[start:end].any() and not grad[start:end].any(), name
+            start = end
+        assert end == model.values.size
+        assert not touched.all()  # the skipped filtering block got no gradient
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ssm_state", 0),
+            ("conv_k1", 0),
+            ("conv_k2", 0),
+            ("conv_k3", 0),
+            ("tau", 0.0),
+            ("tau", -0.02),
+            ("pretrain_epochs", -3),
+            ("finetune_epochs", -1),
+        ],
+    )
+    def test_out_of_range_setting_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            tiny_config(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        config = tiny_config(ssm_state=1, conv_k1=1, conv_k2=1, conv_k3=1, pretrain_epochs=0, finetune_epochs=0)
+        build_model(config, 2, 1, 16)
 
 
 class TestCheckpoint:

@@ -217,20 +217,15 @@ class TestLabelSmoothedCe:
 class TestTrainReport:
     def test_csv_layout_and_none_cells(self):
         report = TrainReport()
-        report.add(1, "train", 0.5, None, None, 1.25)
-        report.add(1, "val", 0.25, 1.0, 1.0, 0.0)
+        report.add(1, "train", 0.5, None, None)
+        report.add(1, "val", 0.25, 1.0, 1.0)
         expected = (
-            "epoch,split,loss,accuracy,macro_f1,seconds\n"
-            "1,train,0.5,,,1.25\n"
-            "1,val,0.25,1.0,1.0,0.0\n"
+            "epoch,split,loss,accuracy,macro_f1\n"
+            "1,train,0.5,,\n"
+            "1,val,0.25,1.0,1.0\n"
         )
         assert report.to_csv() == expected
         assert ",".join(REPORT_COLUMNS) == expected.splitlines()[0]
-
-    def test_timing_suppression_zeroes_seconds_only(self):
-        report = TrainReport()
-        report.add(1, "train", 0.5, None, None, 3.7)
-        assert report.to_csv(include_timing=False).splitlines()[1] == "1,train,0.5,,,0.0"
 
     def test_summary_text_is_sorted(self):
         report = TrainReport()
@@ -272,11 +267,39 @@ class TestPretrain:
         with pytest.raises(InputError):
             pretrain(empty, tiny_config(pretrain_epochs=1))
 
+    def test_no_pretrain_variant_rejected(self):
+        with pytest.raises(ConfigError, match="no_pretrain"):
+            pretrain(self._corpus(), tiny_config(pretrain_epochs=1, variant="no_pretrain"))
+
     def test_returns_best_loss_state(self):
         config = tiny_config(pretrain_epochs=4, batch_size=4)
         _, report = pretrain(self._corpus(), config)
         best = float(report.summary["best_loss"])
         assert best == min(r.loss for r in report.rows)
+
+
+class TestParameterVector:
+    @staticmethod
+    def _assert_views(model):
+        start = 0
+        for name, t in model.named_parameters():
+            end = start + t.size
+            assert np.shares_memory(t.data, model.values[start:end]), name
+            start = end
+        assert end == model.values.size
+
+    def test_parameters_stay_views_of_the_vector(self, tmp_path):
+        ds = toy_separable(n_per_class=4)
+        config = tiny_config(pretrain_epochs=2, finetune_epochs=2, batch_size=4)
+        self._assert_views(build_model(config, ds.n_classes, ds.n_channels, ds.series_len))
+        path = str(tmp_path / "pre.ckpt")
+        pre, _ = pretrain(ds, config, checkpoint_path=path)
+        self._assert_views(pre)
+        loaded, _ = load_checkpoint(path)
+        self._assert_views(loaded)
+        assert loaded.values.tobytes() == pre.values.tobytes()
+        model, _ = finetune(ds, config, init=loaded)
+        self._assert_views(model)
 
 
 class TestFinetune:
@@ -303,7 +326,7 @@ class TestFinetune:
         config = tiny_config(lr=1e-2, finetune_epochs=3)
         m1, r1 = finetune(ds, config)
         m2, r2 = finetune(ds, config)
-        assert r1.to_csv(include_timing=False) == r2.to_csv(include_timing=False)
+        assert r1.to_csv() == r2.to_csv()
         for (_, a), (_, b) in zip(m1.named_parameters(), m2.named_parameters()):
             assert a.data.tobytes() == b.data.tobytes()
 
