@@ -27,7 +27,7 @@ from .spectral import (
     irfft,
     rfft,
 )
-from .tensor import Tensor, add, concat, imag, make_complex, mul, narrow, parameter, real, relu
+from .tensor import Tensor, add, complex_from_halves, concat_real_imag, mul, parameter, relu
 from .nn import linear
 
 
@@ -102,12 +102,8 @@ def psi_filter_values(p: PsiFilter, s: Spectrum) -> Tensor:
     dim = bins.shape[-1]
     if p.w1.shape[0] != 2 * dim:
         raise ShapeError(f"filter expects width {p.w1.shape[0]}, spectrum has dim {dim}")
-    stacked = concat([real(bins), imag(bins)], axis=-1)
-    hidden = relu(linear(stacked, p.w1, p.b1))
-    packed = linear(hidden, p.w2, p.b2)
-    re = narrow(packed, packed.ndim - 1, 0, dim)
-    im = narrow(packed, packed.ndim - 1, dim, dim)
-    return make_complex(re, im)
+    hidden = relu(linear(concat_real_imag(bins), p.w1, p.b1))
+    return complex_from_halves(linear(hidden, p.w2, p.b2))
 
 
 def psi_apply(p: PsiFilter, s: Spectrum) -> Spectrum:

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import ShapeError
 from .nn import causal_conv1d, layer_norm, linear
 from .rng import CounterRng
-from .tensor import Tensor, active_tape, add, matmul, mul, neg, parameter, record, reshape, silu, softplus, texp
+from .tensor import Tensor, _sigmoid, active_tape, matmul, neg, parameter, record, reshape, silu, softplus, texp
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def ssm_scan(params: SsmParams, x: Tensor) -> Tensor:
         raise ShapeError(f"ssm_scan expects [batch, tokens, dim] or [tokens, dim], got {x.shape}")
     b_proj = matmul(x, params.w_b)
     c_proj = matmul(x, params.w_c)
-    delta = softplus(add(matmul(x, params.w_delta), params.delta_bias))
+    delta = softplus(linear(x, params.w_delta, params.delta_bias))
     a = neg(texp(params.a_log))
     y = _scan_primitive(x, delta, b_proj, c_proj, a)
     if squeeze:
@@ -379,12 +379,47 @@ def imb_branch(tokens: Tensor, branch_index: int, params: ImbParams) -> Tensor:
     return layer_norm(x, gamma, beta)
 
 
+def cross_gate(h1: Tensor, h2: Tensor, gate: Tensor) -> Tensor:
+    """silu(h1)·h2·gate + silu(h2)·h1·gate, elementwise, as one tape node.
+
+    The rule repeats the rules of that chain of silu, mul and add nodes in
+    the order the chain ran them, summing each input's contributions in the
+    same order, so the gradients are bitwise equal to the chain's when the
+    three inputs have no other consumer.
+    """
+    if not h1.shape == h2.shape == gate.shape:
+        raise ShapeError(f"cross_gate shapes disagree: {h1.shape}, {h2.shape}, {gate.shape}")
+    if h1.is_complex or h2.is_complex or gate.is_complex:
+        raise TypeError("cross_gate is defined for real tensors only")
+    a, b, gd = h1.data, h2.data, gate.data
+    sig_1 = _sigmoid(a)
+    gated_1 = a * sig_1 * b
+    sig_2 = _sigmoid(b)
+    gated_2 = b * sig_2 * a
+    out_data = gated_1 * gd
+    out_data += gated_2 * gd
+    out = Tensor(out_data)
+
+    def rule(gs):
+        g_gated = gs[0] * gd
+        g_silu_2 = g_gated * a
+        g_h1 = g_gated * (b * sig_2)
+        g_h2 = g_silu_2 * sig_2 * (1.0 + b * (1.0 - sig_2))
+        g_gate = gs[0] * gated_2
+        g_gate = g_gate + gs[0] * gated_1
+        g_silu_1 = g_gated * b
+        g_h2 = g_h2 + g_gated * (a * sig_1)
+        g_h1 = g_h1 + g_silu_1 * sig_1 * (1.0 + a * (1.0 - sig_1))
+        return (g_h1, g_h2, g_gate)
+
+    record((h1, h2, gate), (out,), rule)
+    return out
+
+
 def imb_forward(tokens: Tensor, params: ImbParams) -> Tensor:
     """Cross-gated fusion of the two branches, then conv + projection."""
     gate = linear(tokens, params.gate_w, params.gate_b)
     h1 = imb_branch(tokens, 1, params)
     h2 = imb_branch(tokens, 2, params)
-    fused_1 = mul(mul(silu(h1), h2), gate)
-    fused_2 = mul(mul(silu(h2), h1), gate)
-    y = causal_conv1d(add(fused_1, fused_2), params.conv_3, params.conv_3_bias)
+    y = causal_conv1d(cross_gate(h1, h2, gate), params.conv_3, params.conv_3_bias)
     return linear(y, params.out_w, params.out_b)

@@ -9,6 +9,7 @@ features pool by mean over tokens and channels before the class head.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
@@ -62,29 +63,22 @@ class FaimConfig:
 
     def __post_init__(self):
         if self.patch_len < 1:
-            raise ConfigError(f"patch_len must be >= 1, got {self.patch_len}")
+            raise ConfigError(f"{_key('patch_len')} must be >= 1, got {self.patch_len}")
         if self.patch_stride == 0:
             self.patch_stride = self.patch_len
-        if self.patch_stride < 1:
-            raise ConfigError(f"patch_stride must be >= 1, got {self.patch_stride}")
-        if self.embed_dim < 1:
-            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.n_layers < 1:
-            raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
-        for name in ("ssm_state", "conv_k1", "conv_k2", "conv_k3"):
+        for name in ("patch_stride", "embed_dim", "n_layers", "ssm_state", "conv_k1", "conv_k2", "conv_k3"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"{_key(name)} must be >= 1, got {getattr(self, name)}")
         if not self.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if not 0 <= self.mask_ratio < 1:
-            raise ConfigError(f"mask_ratio must be in [0, 1), got {self.mask_ratio}")
-        if not 0 <= self.label_smooth_eps < 1:
-            raise ConfigError(f"label_smooth_eps must be in [0, 1), got {self.label_smooth_eps}")
+            raise ConfigError(f"{_key('tau')} must be > 0, got {self.tau}")
+        for name in ("mask_ratio", "label_smooth_eps"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{_key(name)} must be in [0, 1), got {getattr(self, name)}")
         for name in ("pretrain_epochs", "finetune_epochs"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ConfigError(f"{_key(name)} must be >= 0, got {getattr(self, name)}")
         if self.batch_size < 1 or self.batch_size > 256:
-            raise ConfigError(f"batch_size must be in [1, 256], got {self.batch_size}")
+            raise ConfigError(f"{_key('batch_size')} must be in [1, 256], got {self.batch_size}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose one of {VARIANTS}")
 
@@ -102,6 +96,11 @@ CONFIG_SECTION = {
         "train",
     ),
 }
+
+
+def _key(name: str) -> str:
+    """The config key of a FaimConfig field, as a user types it."""
+    return f"{CONFIG_SECTION[name]}.{name}"
 
 
 @dataclass
@@ -147,16 +146,31 @@ class FaimModel:
             yield name, tensor, start
             start += tensor.size
 
-    def gradient(self, grads: dict[Tensor, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def gradient(
+        self, grads: dict[Tensor, np.ndarray], out: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """``backward``'s gradients laid out like ``values``, and the mask of
-        the values whose parameter received one; the rest are zero."""
-        grad = np.zeros_like(self.values)
-        touched = np.zeros(self.values.shape, dtype=bool)
-        for _, tensor, start in self.layout():
+        the values whose parameter received one; the rest are zero.
+
+        ``out``, a (gradient, mask) pair of arrays shaped like ``values``, is
+        filled and returned in place of new arrays.
+        """
+        if out is None:
+            out = np.empty_like(self.values), np.empty(self.values.shape, dtype=bool)
+        grad, touched = out
+        grad.fill(0.0)
+        touched.fill(False)
+        for tensor, part in self._slices:
             if tensor in grads:
-                grad[start : start + tensor.size] = grads[tensor].ravel()
-                touched[start : start + tensor.size] = True
+                grad[part] = grads[tensor].ravel()
+                touched[part] = True
         return grad, touched
+
+    @functools.cached_property
+    def _slices(self) -> list[tuple[Tensor, slice]]:
+        """Each parameter with its slice of ``values``; the parameters are
+        fixed when the model is built."""
+        return [(tensor, slice(start, start + tensor.size)) for _, tensor, start in self.layout()]
 
 
 def _named_tensors(value, prefix: str = ""):

@@ -1,16 +1,38 @@
-"""Small differentiable building blocks composed from tensor primitives."""
+"""Small differentiable building blocks, each one tape primitive.
+
+Every block records a single node whose backward rule repeats, op for op
+and in the same order, the rules of the primitive chain it stands for
+(``matmul`` then ``add`` for ``linear``, and so on), so its output and
+gradients are bitwise equal to that chain's.
+"""
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ShapeError
-from .tensor import Tensor, add, div, matmul, mul, narrow, pad_axis, sub, tmean, tsqrt
+from .tensor import Tensor, _unbroadcast, record
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight (+ bias).  weight is [in, out]; bias broadcasts over rows."""
-    out = matmul(x, weight)
+    if x.is_complex or weight.is_complex or (bias is not None and bias.is_complex):
+        raise TypeError("linear is defined for real tensors only")
+    if x.ndim < 2 or weight.ndim < 2:
+        raise ShapeError("linear operands must have at least 2 dimensions")
+    xd, wd = x.data, weight.data
+    out_data = xd @ wd
     if bias is not None:
-        out = add(out, bias)
+        out_data += bias.data
+    out = Tensor(out_data)
+
+    def rule(gs):
+        g = gs[0]
+        gx = _unbroadcast(g @ np.swapaxes(wd, -1, -2), x.shape)
+        gw = _unbroadcast(np.swapaxes(xd, -1, -2) @ g, weight.shape)
+        return (gx, gw) if bias is None else (gx, gw, _unbroadcast(g, bias.shape))
+
+    record((x, weight) if bias is None else (x, weight, bias), (out,), rule)
     return out
 
 
@@ -21,18 +43,40 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     row multiplying the current token, so position t sees tokens
     t−k+1 .. t and never the future.  Positions before the start read zeros.
     """
+    if x.is_complex or kernel.is_complex or (bias is not None and bias.is_complex):
+        raise TypeError("causal_conv1d is defined for real tensors only")
     k, dim = kernel.shape
     if x.shape[-1] != dim:
         raise ShapeError(f"kernel dim {dim} does not match input dim {x.shape[-1]}")
     n_tokens = x.shape[-2]
-    padded = pad_axis(x, axis=-2, before=k - 1, after=0)
-    out = None
-    for i in range(k):
-        window = narrow(padded, axis=-2, start=i, length=n_tokens)
-        term = mul(window, narrow(kernel, 0, i, 1))
-        out = term if out is None else add(out, term)
+    widths = [(0, 0)] * x.ndim
+    widths[-2] = (k - 1, 0)
+    padded = np.pad(x.data, widths)
+    kd = kernel.data
+    # Window i is padded[..., i : i + n_tokens, :]; it multiplies kernel row i.
+    out_data = padded[..., :n_tokens, :] * kd[0:1]
+    term = np.empty_like(out_data) if k > 1 else None
+    for i in range(1, k):
+        out_data += np.multiply(padded[..., i : i + n_tokens, :], kd[i : i + 1], out=term)
     if bias is not None:
-        out = add(out, bias)
+        out_data += bias.data
+    out = Tensor(out_data)
+
+    def rule(gs):
+        g = gs[0]
+        # Token t reaches output t + s through kernel row k − 1 − s; the
+        # shifts are summed from s = 0 up, as the windows' rules ran.
+        gx = g * kd[k - 1 : k]
+        part = np.empty_like(g) if k > 1 else None
+        for s in range(1, min(k, n_tokens)):
+            i = k - 1 - s
+            gx[..., : n_tokens - s, :] += np.multiply(g[..., s:, :], kd[i : i + 1], out=part[..., s:, :])
+        gk = np.empty((k, dim))
+        for i in range(k):
+            gk[i : i + 1] = _unbroadcast(g * padded[..., i : i + n_tokens, :], (1, dim))
+        return (gx, gk) if bias is None else (gx, gk, _unbroadcast(g, bias.shape))
+
+    record((x, kernel) if bias is None else (x, kernel, bias), (out,), rule)
     return out
 
 
@@ -40,8 +84,33 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """Normalize over the last axis to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
-    mean = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mean)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    scale = div(centered, tsqrt(add(var, Tensor(eps))))
-    return add(mul(scale, gamma), beta)
+    if x.is_complex or gamma.is_complex or beta.is_complex:
+        raise TypeError("layer_norm is defined for real tensors only")
+    xd = x.data
+    mean = xd.mean(axis=-1, keepdims=True)
+    centered = xd - mean
+    sd = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    scale = centered / sd
+    out_data = scale * gamma.data
+    out_data += beta.data
+    out = Tensor(out_data)
+    # The gradient of a mean over the last axis spreads this share to each entry.
+    share = mean.size / max(xd.size, 1)
+
+    def rule(gs):
+        g = gs[0]
+        g_beta = _unbroadcast(g, beta.shape)
+        g_gamma = _unbroadcast(g * scale, gamma.shape)
+        g_scale = g * gamma.data
+        g_centered = g_scale / sd
+        g_sd = _unbroadcast(-g_scale * centered / (sd * sd), sd.shape)
+        g_square = np.broadcast_to(g_sd * 0.5 / sd, xd.shape) * share
+        # centered·centered: one contribution per factor.
+        g_centered = g_centered + g_square * centered
+        g_centered = g_centered + g_square * centered
+        g_mean = _unbroadcast(-g_centered, mean.shape)
+        g_x = g_centered + np.broadcast_to(g_mean, xd.shape) * share
+        return (g_x, g_gamma, g_beta)
+
+    record((x, gamma, beta), (out,), rule)
+    return out

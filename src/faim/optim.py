@@ -21,6 +21,8 @@ class AdamWState:
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    # Two vectors of scratch for the step's temporaries, reused every step.
+    scratch: np.ndarray | None = None
 
 
 def adamw_step(values: np.ndarray, grad: np.ndarray, touched: np.ndarray, state: AdamWState):
@@ -34,6 +36,8 @@ def adamw_step(values: np.ndarray, grad: np.ndarray, touched: np.ndarray, state:
     """
     if state.m is None:
         state.m, state.v = np.zeros_like(values), np.zeros_like(values)
+    if state.scratch is None:
+        state.scratch = np.empty((2,) + values.shape)
     if not values.shape == grad.shape == touched.shape == state.m.shape:
         raise ShapeError(
             f"values {values.shape}, gradient {grad.shape}, mask {touched.shape} "
@@ -44,10 +48,14 @@ def adamw_step(values: np.ndarray, grad: np.ndarray, touched: np.ndarray, state:
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
     m, v = state.m, state.v
+    a, b = state.scratch
     np.multiply(values, 1.0 - state.lr * state.weight_decay, out=values, where=touched)
     np.multiply(m, state.beta1, out=m, where=touched)
-    np.add(m, (1.0 - state.beta1) * grad, out=m, where=touched)
+    np.add(m, np.multiply(1.0 - state.beta1, grad, out=a), out=m, where=touched)
     np.multiply(v, state.beta2, out=v, where=touched)
-    np.add(v, (1.0 - state.beta2) * (grad * grad), out=v, where=touched)
-    step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    np.subtract(values, step, out=values, where=touched)
+    np.multiply(grad, grad, out=a)
+    np.add(v, np.multiply(1.0 - state.beta2, a, out=a), out=v, where=touched)
+    # step = lr·(m/bc1) / (sqrt(v/bc2) + eps)
+    np.multiply(state.lr, np.divide(m, bc1, out=a), out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
+    np.subtract(values, np.divide(a, b, out=a), out=values, where=touched)

@@ -20,6 +20,8 @@ from .errors import ShapeError
 
 REAL = np.float64
 COMPLEX = np.complex128
+_REAL_DTYPE = np.dtype(REAL)
+_COMPLEX_DTYPE = np.dtype(COMPLEX)
 
 # ---------------------------------------------------------------------------
 # Tape
@@ -81,13 +83,16 @@ class Tensor:
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
+        self.requires_grad = requires_grad
+        if type(data) is np.ndarray and (data.dtype is _REAL_DTYPE or data.dtype is _COMPLEX_DTYPE):
+            self.data = data
+            return
         arr = np.asarray(data)
         if np.iscomplexobj(arr):
             arr = arr.astype(COMPLEX, copy=False)
         else:
             arr = arr.astype(REAL, copy=False)
         self.data = arr
-        self.requires_grad = requires_grad
 
     # -- introspection ------------------------------------------------------
 
@@ -105,7 +110,7 @@ class Tensor:
 
     @property
     def is_complex(self):
-        return self.data.dtype == COMPLEX
+        return self.data.dtype.kind == "c"
 
     def item(self) -> float:
         return self.data.item()
@@ -142,7 +147,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _to_operand_dtype(g: np.ndarray, operand: Tensor) -> np.ndarray:
     """Project a packed complex gradient onto a real operand, if needed."""
-    if not operand.is_complex and np.iscomplexobj(g):
+    if g.dtype.kind == "c" and not operand.is_complex:
         return g.real
     return g
 
@@ -474,6 +479,38 @@ def make_complex(re: Tensor, im: Tensor) -> Tensor:
         )
 
     record((re, im), (out,), rule)
+    return out
+
+
+def concat_real_imag(a: Tensor) -> Tensor:
+    """Real and imaginary parts of a complex tensor side by side along the
+    last axis: [..., d] complex -> [..., 2d] real."""
+    if not a.is_complex:
+        raise TypeError("concat_real_imag expects a complex tensor")
+    d = a.shape[-1]
+    out = Tensor(np.concatenate([a.data.real, a.data.imag], axis=-1))
+
+    def rule(gs):
+        g = gs[0]
+        grad = np.empty(a.shape, dtype=COMPLEX)
+        grad.real = g[..., :d]
+        grad.imag = g[..., d:]
+        return (grad,)
+
+    record((a,), (out,), rule)
+    return out
+
+
+def complex_from_halves(a: Tensor) -> Tensor:
+    """Complex tensor whose real and imaginary parts are the first and second
+    halves of a real tensor's last axis: [..., 2d] real -> [..., d] complex."""
+    if a.is_complex:
+        raise TypeError("complex_from_halves expects a real tensor")
+    if a.shape[-1] % 2:
+        raise ShapeError(f"complex_from_halves needs an even last axis, got {a.shape}")
+    d = a.shape[-1] // 2
+    out = Tensor(a.data[..., :d] + 1j * a.data[..., d:])
+    record((a,), (out,), lambda gs: (np.concatenate([gs[0].real, gs[0].imag], axis=-1),))
     return out
 
 

@@ -30,7 +30,7 @@ from .model import (
 )
 from .optim import AdamWState, adamw_step
 from .rng import CounterRng, derive_seed
-from .tensor import Tape, Tensor, backward, mul, neg, reshape, sub, texp, tlog, tmean, tsum
+from .tensor import Tape, Tensor, backward, record, reshape
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,8 @@ def make_mask(shape: tuple[int, ...], ratio: float, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# losses
+# losses: each one tape node, whose rule repeats the rules of the primitive
+# chain it replaced in the same order, so gradients are bitwise equal to it
 # ---------------------------------------------------------------------------
 
 
@@ -78,10 +79,21 @@ def masked_mse(x_true, x_hat: Tensor, lam) -> Tensor:
     total = float(lam.sum())
     if total == 0.0:
         return Tensor(0.0)
-    diff = sub(x_hat, Tensor(x_true))
-    per_patch = tmean(mul(diff, diff), axis=-1)
-    weighted = mul(per_patch, Tensor(lam))
-    return mul(tsum(weighted), Tensor(1.0 / total))
+    diff = x_hat.data - x_true
+    per_patch = (diff * diff).mean(axis=-1)
+    weight = 1.0 / total
+    out = Tensor((per_patch * lam).sum() * weight)
+    # The gradient of the mean over a patch spreads this share to each entry.
+    share = per_patch.size / max(diff.size, 1)
+
+    def rule(gs):
+        g_patch = np.broadcast_to(gs[0] * weight, lam.shape) * lam
+        g_diff = np.broadcast_to(g_patch[..., None], diff.shape) * share * diff
+        # diff·diff: one contribution per factor.
+        return (g_diff + g_diff,)
+
+    record((x_hat,), (out,), rule)
+    return out
 
 
 def smooth_targets(y: int, n_classes: int, eps: float) -> np.ndarray:
@@ -93,14 +105,6 @@ def smooth_targets(y: int, n_classes: int, eps: float) -> np.ndarray:
     targets = np.full(n_classes, eps / n_classes)
     targets[y] += 1.0 - eps
     return targets
-
-
-def _log_softmax(logits: Tensor) -> Tensor:
-    # The max shift is a constant offset: gradients of log-softmax are exact
-    # regardless of the shift chosen.
-    shift = sub(logits, Tensor(logits.data.max(axis=-1, keepdims=True)))
-    lse = tlog(tsum(texp(shift), axis=-1, keepdims=True))
-    return sub(shift, lse)
 
 
 def label_smoothed_ce(logits: Tensor, y: int, eps: float) -> Tensor:
@@ -116,8 +120,22 @@ def batch_label_smoothed_ce(logits: Tensor, labels: np.ndarray, eps: float) -> T
     """Mean smoothed cross-entropy over a batch of logit rows."""
     n_batch, n_classes = logits.shape
     targets = np.stack([smooth_targets(int(y), n_classes, eps) for y in labels])
-    per_sample_sum = tsum(mul(_log_softmax(logits), Tensor(targets)))
-    return mul(neg(per_sample_sum), Tensor(1.0 / n_batch))
+    z = logits.data
+    # The max shift is a constant offset: gradients of log-softmax are exact
+    # regardless of the shift chosen.
+    shift = z - z.max(axis=-1, keepdims=True)
+    exp_shift = np.exp(shift)
+    total = exp_shift.sum(axis=-1, keepdims=True)
+    weight = 1.0 / n_batch
+    out = Tensor(-((shift - np.log(total)) * targets).sum() * weight)
+
+    def rule(gs):
+        g_log_probs = np.broadcast_to(-(gs[0] * weight), z.shape) * targets
+        g_total = (-g_log_probs).sum(axis=-1, keepdims=True) / total
+        return (g_log_probs + g_total * exp_shift,)
+
+    record((logits,), (out,), rule)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +256,7 @@ def pretrain(
     x = dataset.x
     model = build_model(config, dataset.n_classes, dataset.n_channels, dataset.series_len)
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
+    buffers = np.empty_like(model.values), np.empty(model.values.shape, dtype=bool)
     shuffle_rng = CounterRng(derive_seed(config.seed, "pretrain-shuffle"))
     report = TrainReport()
     best_loss = np.inf
@@ -257,7 +276,7 @@ def pretrain(
                 loss = masked_mse(reference_patches(xb, model), recon, lam)
             _check_loss(loss.item(), "pretrain", epoch, step + 1)
             grads = backward(tape, loss)
-            adamw_step(model.values, *model.gradient(grads), opt)
+            adamw_step(model.values, *model.gradient(grads, buffers), opt)
             epoch_loss += loss.item() * len(xb)
         _check_parameters(model, "pretrain", epoch, step + 1)
         epoch_loss /= len(x)
@@ -311,6 +330,7 @@ def finetune(
         model.config = config
     x, y = train_set.x, train_set.y
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
+    buffers = np.empty_like(model.values), np.empty(model.values.shape, dtype=bool)
     shuffle_rng = CounterRng(derive_seed(config.seed, "finetune-shuffle"))
     report = TrainReport()
     best_acc = -1.0
@@ -326,7 +346,7 @@ def finetune(
                 loss = batch_label_smoothed_ce(logits, y[idx], config.label_smooth_eps)
             _check_loss(loss.item(), "finetune", epoch, step + 1)
             grads = backward(tape, loss)
-            adamw_step(model.values, *model.gradient(grads), opt)
+            adamw_step(model.values, *model.gradient(grads, buffers), opt)
             epoch_loss += loss.item() * len(idx)
         _check_parameters(model, "finetune", epoch, step + 1)
         epoch_loss /= len(x)

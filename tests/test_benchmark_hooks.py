@@ -61,3 +61,22 @@ def test_tracer_counts_one_optimizer_step_per_training_step():
     metrics = spans.layer_metrics(rec)
     assert metrics["optim.steps"] == len(spans.step_seconds(rec.spans)) == 4
     assert metrics["tensor.tape_nodes_per_step"] > 0
+
+
+def test_traced_pretrain_step_stays_under_150_nodes_with_fused_layers_attributed():
+    spans = _load("spans")
+    workloads = _load("workloads")
+    geometry = workloads.WORKLOADS["pretrain-tiny"].config
+    dataset = make_synthetic_freq_dataset(4, 128, workloads.FREQS, 0.5, 0)  # 8 samples: one step
+    config = FaimConfig(**{**geometry, "pretrain_epochs": 1})
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        faim.training.pretrain(dataset, config)
+    finally:
+        rec.uninstall()
+    metrics = spans.layer_metrics(rec)
+    assert metrics["optim.steps"] == 1
+    assert 0 < metrics["tensor.tape_nodes_per_step"] < 150
+    names = {span[0] for span in rec.spans}
+    assert {"nn.layer_norm.bwd", "nn.causal_conv1d.bwd"} <= names

@@ -194,7 +194,13 @@ class TestExitCodes:
                    "--data.train", str(tmp_path / "absent.tsv"), f"--{key}", value])
         assert rc == 1
         err = capsys.readouterr().err
-        assert f"{key.split('.')[1]} must be" in err and "absent.tsv" not in err
+        assert f"{key} must be" in err and "absent.tsv" not in err
+
+    def test_out_of_range_setting_is_named_by_its_key(self, tmp_path, capsys):
+        rc = main(["finetune", "--run.dir", str(tmp_path), "--run.name", "r",
+                   "--data.train", str(tmp_path / "absent.tsv"), "--imb.ssm_state", "0"])
+        assert rc == 1
+        assert "imb.ssm_state must be >= 1, got 0" in capsys.readouterr().err
 
     def test_eval_without_checkpoint(self, tmp_path, capsys):
         rc = main(["eval", "--run.dir", str(tmp_path), "--run.name", "e"])

@@ -8,6 +8,7 @@ import pytest
 from faim import imb
 from faim.errors import ConfigError, InputError, ShapeError
 from faim.model import (
+    CONFIG_SECTION,
     MAGIC,
     VARIANTS,
     FaimConfig,
@@ -345,10 +346,15 @@ class TestConfigRanges:
             ("tau", -0.02),
             ("pretrain_epochs", -3),
             ("finetune_epochs", -1),
+            ("patch_len", 0),
+            ("embed_dim", 0),
+            ("batch_size", 257),
+            ("mask_ratio", 1.0),
         ],
     )
     def test_out_of_range_setting_rejected(self, field, value):
-        with pytest.raises(ConfigError, match=f"{field} must be"):
+        # The message names the key a user types, such as imb.ssm_state.
+        with pytest.raises(ConfigError, match=f"^{CONFIG_SECTION[field]}.{field} must be"):
             tiny_config(**{field: value})
 
     def test_boundary_values_accepted(self):
