@@ -48,7 +48,20 @@ import numpy as np
 from .errors import ShapeError
 from .nn import causal_conv1d, layer_norm, linear
 from .rng import CounterRng
-from .tensor import Tensor, _sigmoid, active_tape, matmul, neg, parameter, record, reshape, silu, softplus, texp
+from .tensor import (
+    Tensor,
+    _sigmoid,
+    _silu_grad,
+    active_tape,
+    matmul,
+    neg,
+    parameter,
+    record,
+    reshape,
+    silu,
+    softplus,
+    texp,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +417,12 @@ def cross_gate(h1: Tensor, h2: Tensor, gate: Tensor) -> Tensor:
         g_gated = gs[0] * gd
         g_silu_2 = g_gated * a
         g_h1 = g_gated * (b * sig_2)
-        g_h2 = g_silu_2 * sig_2 * (1.0 + b * (1.0 - sig_2))
+        g_h2 = _silu_grad(g_silu_2, b, sig_2)
         g_gate = gs[0] * gated_2
         g_gate = g_gate + gs[0] * gated_1
         g_silu_1 = g_gated * b
         g_h2 = g_h2 + g_gated * (a * sig_1)
-        g_h1 = g_h1 + g_silu_1 * sig_1 * (1.0 + a * (1.0 - sig_1))
+        g_h1 = g_h1 + _silu_grad(g_silu_1, a, sig_1)
         return (g_h1, g_h2, g_gate)
 
     record((h1, h2, gate), (out,), rule)

@@ -146,18 +146,13 @@ class FaimModel:
             yield name, tensor, start
             start += tensor.size
 
-    def gradient(
-        self, grads: dict[Tensor, np.ndarray], out: tuple[np.ndarray, np.ndarray] | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def gradient(self, grads: dict[Tensor, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """``backward``'s gradients laid out like ``values``, and the mask of
         the values whose parameter received one; the rest are zero.
 
-        ``out``, a (gradient, mask) pair of arrays shaped like ``values``, is
-        filled and returned in place of new arrays.
+        Both arrays belong to the model and are refilled by the next call.
         """
-        if out is None:
-            out = np.empty_like(self.values), np.empty(self.values.shape, dtype=bool)
-        grad, touched = out
+        grad, touched = self._gradient_buffers
         grad.fill(0.0)
         touched.fill(False)
         for tensor, part in self._slices:
@@ -165,6 +160,10 @@ class FaimModel:
                 grad[part] = grads[tensor].ravel()
                 touched[part] = True
         return grad, touched
+
+    @functools.cached_property
+    def _gradient_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.empty_like(self.values), np.empty(self.values.shape, dtype=bool)
 
     @functools.cached_property
     def _slices(self) -> list[tuple[Tensor, slice]]:

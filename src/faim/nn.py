@@ -3,7 +3,10 @@
 Every block records a single node whose backward rule repeats, op for op
 and in the same order, the rules of the primitive chain it stands for
 (``matmul`` then ``add`` for ``linear``, and so on), so its output and
-gradients are bitwise equal to that chain's.
+gradients are bitwise equal to that chain's.  Where the chain sent an
+input several contributions (``layer_norm``'s x, through the centring and
+the mean), the rule sums them inside the node; that order holds, and so do
+the bits, when the input has no other consumer.
 """
 
 from __future__ import annotations
@@ -11,26 +14,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _unbroadcast, record
+from .tensor import Tensor, _check_matmul_operands, _matmul_grads, _unbroadcast, record
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight (+ bias).  weight is [in, out]; bias broadcasts over rows."""
-    if x.is_complex or weight.is_complex or (bias is not None and bias.is_complex):
-        raise TypeError("linear is defined for real tensors only")
-    if x.ndim < 2 or weight.ndim < 2:
-        raise ShapeError("linear operands must have at least 2 dimensions")
-    xd, wd = x.data, weight.data
-    out_data = xd @ wd
+    _check_matmul_operands("linear", x, weight)
+    out_data = x.data @ weight.data
     if bias is not None:
+        if bias.is_complex:
+            raise TypeError("linear is defined for real tensors only")
         out_data += bias.data
     out = Tensor(out_data)
 
     def rule(gs):
-        g = gs[0]
-        gx = _unbroadcast(g @ np.swapaxes(wd, -1, -2), x.shape)
-        gw = _unbroadcast(np.swapaxes(xd, -1, -2) @ g, weight.shape)
-        return (gx, gw) if bias is None else (gx, gw, _unbroadcast(g, bias.shape))
+        grads = _matmul_grads(gs[0], x, weight)
+        return grads if bias is None else grads + (_unbroadcast(gs[0], bias.shape),)
 
     record((x, weight) if bias is None else (x, weight, bias), (out,), rule)
     return out
@@ -74,6 +73,12 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
         gk = np.empty((k, dim))
         for i in range(k):
             gk[i : i + 1] = _unbroadcast(g * padded[..., i : i + n_tokens, :], (1, dim))
+        if k > 1:
+            # The chain also summed the zeros each narrow scattered outside
+            # its slice; they only turn a -0.0 sum into +0.0.  They reach
+            # every kernel row and the last k − 1 tokens.
+            gx[..., max(n_tokens - k + 1, 0) :, :] += 0.0
+            gk += 0.0
         return (gx, gk) if bias is None else (gx, gk, _unbroadcast(g, bias.shape))
 
     record((x, kernel) if bias is None else (x, kernel, bias), (out,), rule)
@@ -81,7 +86,11 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then affine."""
+    """Normalize over the last axis to zero mean / unit variance, then affine.
+
+    x's two contributions are summed inside the node, so the gradient is
+    bitwise equal to the primitive chain's when x has no other consumer.
+    """
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
     if x.is_complex or gamma.is_complex or beta.is_complex:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ class AdamWState:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     # Two vectors of scratch for the step's temporaries, reused every step.
-    scratch: np.ndarray | None = None
+    scratch: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def adamw_step(values: np.ndarray, grad: np.ndarray, touched: np.ndarray, state: AdamWState):

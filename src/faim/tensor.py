@@ -223,20 +223,24 @@ def neg(a: Tensor) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _check_matmul_operands(name: str, a: Tensor, b: Tensor):
     if a.is_complex or b.is_complex:
-        raise TypeError("matmul is defined for real tensors only")
+        raise TypeError(f"{name} is defined for real tensors only")
     if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul operands must have at least 2 dimensions")
+        raise ShapeError(f"{name} operands must have at least 2 dimensions")
+
+
+def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of a @ b with respect to a and b."""
+    ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+    return ga, gb
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check_matmul_operands("matmul", a, b)
     out = Tensor(a.data @ b.data)
-
-    def rule(gs):
-        g = gs[0]
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return (ga, gb)
-
-    record((a, b), (out,), rule)
+    record((a, b), (out,), lambda gs: _matmul_grads(gs[0], a, b))
     return out
 
 
@@ -332,12 +336,17 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g times the derivative of x·sigmoid(x), where s = sigmoid(x)."""
+    return g * s * (1.0 + x * (1.0 - s))
+
+
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x), elementwise."""
     _require_real(a, "silu")
     s = _sigmoid(a.data)
     out = Tensor(a.data * s)
-    record((a,), (out,), lambda gs: (gs[0] * s * (1.0 + a.data * (1.0 - s)),))
+    record((a,), (out,), lambda gs: (_silu_grad(gs[0], a.data, s),))
     return out
 
 
@@ -491,10 +500,9 @@ def concat_real_imag(a: Tensor) -> Tensor:
     out = Tensor(np.concatenate([a.data.real, a.data.imag], axis=-1))
 
     def rule(gs):
-        g = gs[0]
-        grad = np.empty(a.shape, dtype=COMPLEX)
-        grad.real = g[..., :d]
-        grad.imag = g[..., d:]
+        # imag's rule, then real's added to it, as the concat chain ran them.
+        grad = 1j * gs[0][..., d:]
+        grad += gs[0][..., :d]
         return (grad,)
 
     record((a,), (out,), rule)
@@ -510,7 +518,14 @@ def complex_from_halves(a: Tensor) -> Tensor:
         raise ShapeError(f"complex_from_halves needs an even last axis, got {a.shape}")
     d = a.shape[-1] // 2
     out = Tensor(a.data[..., :d] + 1j * a.data[..., d:])
-    record((a,), (out,), lambda gs: (np.concatenate([gs[0].real, gs[0].imag], axis=-1),))
+
+    def rule(gs):
+        grad = np.concatenate([gs[0].real, gs[0].imag], axis=-1)
+        # The chain summed two narrows' scatters, each zero outside its half.
+        grad += 0.0
+        return (grad,)
+
+    record((a,), (out,), rule)
     return out
 
 

@@ -256,7 +256,6 @@ def pretrain(
     x = dataset.x
     model = build_model(config, dataset.n_classes, dataset.n_channels, dataset.series_len)
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
-    buffers = np.empty_like(model.values), np.empty(model.values.shape, dtype=bool)
     shuffle_rng = CounterRng(derive_seed(config.seed, "pretrain-shuffle"))
     report = TrainReport()
     best_loss = np.inf
@@ -276,7 +275,7 @@ def pretrain(
                 loss = masked_mse(reference_patches(xb, model), recon, lam)
             _check_loss(loss.item(), "pretrain", epoch, step + 1)
             grads = backward(tape, loss)
-            adamw_step(model.values, *model.gradient(grads, buffers), opt)
+            adamw_step(model.values, *model.gradient(grads), opt)
             epoch_loss += loss.item() * len(xb)
         _check_parameters(model, "pretrain", epoch, step + 1)
         epoch_loss /= len(x)
@@ -330,7 +329,6 @@ def finetune(
         model.config = config
     x, y = train_set.x, train_set.y
     opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
-    buffers = np.empty_like(model.values), np.empty(model.values.shape, dtype=bool)
     shuffle_rng = CounterRng(derive_seed(config.seed, "finetune-shuffle"))
     report = TrainReport()
     best_acc = -1.0
@@ -346,7 +344,7 @@ def finetune(
                 loss = batch_label_smoothed_ce(logits, y[idx], config.label_smooth_eps)
             _check_loss(loss.item(), "finetune", epoch, step + 1)
             grads = backward(tape, loss)
-            adamw_step(model.values, *model.gradient(grads, buffers), opt)
+            adamw_step(model.values, *model.gradient(grads), opt)
             epoch_loss += loss.item() * len(idx)
         _check_parameters(model, "finetune", epoch, step + 1)
         epoch_loss /= len(x)

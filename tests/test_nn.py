@@ -111,6 +111,10 @@ def _readout(out):
         return out
     rng = np.random.default_rng(99)
     weights = rng.normal(size=out.shape)
+    # Zero weights of both signs make zero gradients, whose signs the chain
+    # fixes too: a +0.0 among the terms of a sum turns a -0.0 sum into +0.0.
+    weights[..., 0] = -0.0
+    weights.flat[1::5] = 0.0
     if out.is_complex:
         weights = weights + 1j * rng.normal(size=out.shape)
         return tsum(real(mul(out, Tensor(weights))))
@@ -147,6 +151,17 @@ def _cases():
                     f"conv-{len(x_shape)}d-k{k}-bias{bias}", causal_conv1d, conv_chain,
                     [rng.normal(size=x_shape), rng.normal(size=(k, 3))] + _bias(bias, 3, rng),
                 ))
+            # Positive inputs and a negative kernel: zero gradients are -0.0.
+            cases.append((
+                f"conv-{len(x_shape)}d-k{k}-signs", causal_conv1d, conv_chain,
+                [np.abs(rng.normal(size=x_shape)), -np.abs(rng.normal(size=(k, 3)))],
+            ))
+        if len(x_shape) == 2:
+            # One token: the kernel gradient sums nothing, so its zeros keep their sign.
+            cases.append((
+                "conv-2d-one-token-signs", causal_conv1d, conv_chain,
+                [np.abs(rng.normal(size=(1, 3))), rng.normal(size=(3, 3))],
+            ))
         cases.append((
             f"layer_norm-{len(x_shape)}d", layer_norm, layer_norm_chain,
             [rng.normal(size=x_shape), rng.normal(size=3), rng.normal(size=3)],
@@ -185,10 +200,11 @@ def test_fused_op_is_one_node_and_bitwise_equal_to_its_chain(name, fused, chain,
     out, grads, n_nodes = _run(fused, arrays)
     out_ref, grads_ref, _ = _run(chain, arrays)
     assert n_nodes == 1
-    assert np.array_equal(out, out_ref)
+    assert out.tobytes() == out_ref.tobytes()
     for i, (g, g_ref) in enumerate(zip(grads, grads_ref)):
         assert g.shape == g_ref.shape and g.dtype == g_ref.dtype, f"input {i}"
-        assert np.array_equal(g, g_ref), f"gradient of input {i} differs"
+        # Bytes, not values: -0.0 and +0.0 must agree too.
+        assert g.tobytes() == g_ref.tobytes(), f"gradient of input {i} differs"
 
 
 @pytest.mark.parametrize("name, fused, chain, arrays", CASES, ids=[c[0] for c in CASES])
