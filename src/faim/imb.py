@@ -15,25 +15,28 @@ costs one transcendental per element:
 
 A = -exp(a_log) is never zero, and the form needs no small-|ΔA| series.
 Two [batch, dim, state] buffers are reused across tokens.  Under a tape
-the forward keeps the decay factors exp(ΔA), the discretisation factors
-(exp(ΔA) - 1)/(ΔA) and every state h_t, and the backward rule runs only the
-state-gradient recurrence token by token, forming the parameter gradients
-as whole-tensor products over tokens.  This avoids recording ~10 tape nodes
-per token while keeping the gradient exact (verified against finite
-differences and the unrolled recurrence).
+the backward rule runs only the state-gradient recurrence token by token,
+forming the parameter gradients as whole-tensor products over tokens.  This
+avoids recording ~10 tape nodes per token while keeping the gradient exact
+(verified against finite differences and the unrolled recurrence).
 
 The taped forward and its rule run over row blocks of the batch, each
-holding about ROW_BLOCK_BYTES of one stored [rows, Z, dim, state] array, so
-that every op of a block works in cache.  The blocks run on one thread per
-CPU this process may use, the calling thread among them (numpy releases
-the interpreter lock inside its loops); each thread takes the next block
-not yet taken, in its own slice of scratch.  The stored arrays and the
-scratch are allocated once per call.  Every element goes through the same
+[rows, Z, dim, state] array of a block holding about ROW_BLOCK_BYTES, so
+that every op of a block works in cache.  _fill_block computes a block's
+u = ΔA, decay factors exp(ΔA), discretisation factors (exp(ΔA) - 1)/(ΔA)
+and states h_t.  The forward keeps none of them past its block: as in
+Mamba's hardware-aware scan, the rule recomputes them, block by block, with
+the same operations, and only a call of one block keeps its block for the
+rule.  The blocks run on one thread per CPU this process may use, the
+calling thread among them (numpy releases the interpreter lock inside its
+loops); each thread takes the next block not yet taken, in its own slice of
+scratch, allocated once per pass.  Every element goes through the same
 operations in the same order whatever the block size or thread count, so
 outputs and gradients are bitwise equal to one whole-batch pass on one
 thread.  The one reduction over (batch, token), the gradient of A, runs
-once over a full-size buffer after the blocks: summing per-block partial
-results would change it in the last digits.
+once over a full-size buffer, du, after the blocks: summing per-block
+partial results would change it in the last digits.  du lives only while
+the rule runs; it is the one full-size [batch, Z, dim, state] array left.
 """
 
 from __future__ import annotations
@@ -103,8 +106,9 @@ def discretize(A, B_t, delta_t):
 # ---------------------------------------------------------------------------
 
 # Byte budget of one row block, sized to stay in a typical L2 cache.  The
-# taped scan fills its stored [rows, Z, dim, state] arrays this many bytes
-# at a time, one block per thread at once, and training.row_block sizes
+# taped scan fills each [rows, Z, dim, state] array of a block (u, abar, phi,
+# states) this many bytes at a time, one block per thread at once, and the
+# rule its state gradient and du; training.row_block sizes
 # tape-free forwards from it.  Larger blocks stream every op through main
 # memory; blocks of one or two rows pay per-op overhead instead.
 ROW_BLOCK_BYTES = 2**20
@@ -161,6 +165,25 @@ def _each(fn, blocks: list[slice]) -> None:
                 helper.result()
 
 
+def _fill_block(out: np.ndarray, delta: np.ndarray, a: np.ndarray, dx: np.ndarray, b: np.ndarray) -> None:
+    """Fill out = [u, abar, phi, h], each [rows, Z, dim, state], for one row
+    block: u = Δ·A, abar = exp(u), phi = (exp(u) - 1)/u and the states
+    h_t = abar_t ⊙ h_{t-1} + phi_t·Δ_t·x_t·B_t.  ``delta`` and ``dx`` (Δ·x)
+    are [rows, Z, dim], ``b`` is [rows, Z, state] and ``a`` [dim, state].
+    The taped forward and, for a call of several blocks, its rule both call
+    this, so the rule sees the bits the forward saw."""
+    u, abar, phi, h = out
+    np.multiply(delta[..., None], a, out=u)
+    np.exp(u, out=abar)
+    _phi(u, out=phi)
+    # The drive phi·Δ·B·x of every token, then the recurrence adds the
+    # decayed previous state.
+    np.multiply(phi, dx[..., None], out=h)
+    h *= b[:, :, None, :]
+    for t in range(1, h.shape[1]):
+        h[:, t] += abar[:, t] * h[:, t - 1]
+
+
 def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a: Tensor) -> Tensor:
     """Recurrence y_t = C_t · h_t, h_t = exp(Δ_t A) ⊙ h_{t-1} + B̄_t ⊙ x_t.
 
@@ -192,30 +215,26 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
     rows = min(n_batch, max(1, ROW_BLOCK_BYTES // (n_tok * dim * n_state * 8)))
     blocks = [slice(r0, min(r0 + rows, n_batch)) for r0 in range(0, n_batch, rows)]
     dx = dd * xd
-    # The three stored arrays share one allocation.  At training sizes it is
-    # mapped and unmapped whole, which left about 9.5k minor page faults per
-    # default finetune step against 23k for three separate heap arrays.
-    abar, phi, states = np.empty((3, n_batch, n_tok, dim, n_state))
     y = np.empty_like(xd)
-    # One block of scratch per thread, allocated once per call: u = Δ·A in
-    # the forward, then the state gradient in the rule.
-    scratch = np.empty((min(_WORKERS, len(blocks)), rows, n_tok, dim, n_state))
+
+    def new_scratch():
+        # Per thread, one block each of u, abar, phi and the states.
+        return np.empty((min(_WORKERS, len(blocks)), 4, rows, n_tok, dim, n_state))
+
+    def fill(scratch, w, blk):
+        block = scratch[w, :, : blk.stop - blk.start]
+        _fill_block(block, dd[blk], ad, dx[blk], bd[blk])
+        return block
+
+    scratch = new_scratch()
 
     def forward_block(w, blk):
-        u = scratch[w, : blk.stop - blk.start]
-        np.multiply(dd[blk, ..., None], ad, out=u)
-        np.exp(u, out=abar[blk])
-        _phi(u, out=phi[blk])
-        # The drive phi·Δ·B·x of every token, then the recurrence adds the
-        # decayed previous state.
-        h = np.multiply(phi[blk], dx[blk, ..., None], out=states[blk])
-        h *= bd[blk, :, None, :]
-        a_blk = abar[blk]
-        for t in range(1, n_tok):
-            h[:, t] += a_blk[:, t] * h[:, t - 1]
+        h = fill(scratch, w, blk)[3]
         np.matmul(h, cd[blk, ..., None], out=y[blk, ..., None])
 
     _each(forward_block, blocks)
+    # One block is kept for the rule; a call of several refills each there.
+    kept = scratch if len(blocks) == 1 else None
     out = Tensor(y)
 
     def rule(gs):
@@ -224,12 +243,18 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
         d_delta = np.empty_like(xd)
         d_b = np.empty_like(bd)
         d_c = np.empty_like(cd)
-        du = np.empty_like(abar)
+        du = np.empty((n_batch, n_tok, dim, n_state))
+        scratch = new_scratch() if kept is None else kept
 
         def rule_block(w, blk):
-            dh = scratch[w, : blk.stop - blk.start]
-            a_blk, phi_blk, du_blk = abar[blk], phi[blk], du[blk]
-            np.matmul(gy[blk, :, None, :], states[blk], out=d_c[blk, :, None, :])
+            # dh, the state gradient, takes the slot of u, which the rule
+            # does not read.
+            if kept is None:
+                dh, a_blk, phi_blk, states = fill(scratch, w, blk)
+            else:
+                dh, a_blk, phi_blk, states = scratch[w, :, : blk.stop - blk.start]
+            du_blk = du[blk]
+            np.matmul(gy[blk, :, None, :], states, out=d_c[blk, :, None, :])
             np.multiply(gy[blk, ..., None], cd[blk, :, None, :], out=dh)
             for t in range(n_tok - 2, -1, -1):
                 dh[:, t] += a_blk[:, t + 1] * dh[:, t + 1]
@@ -248,7 +273,7 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
             du_blk /= ad
             du_blk *= xd[blk, ..., None]
             du_blk *= bd[blk, :, None, :]
-            du_blk += states[blk]
+            du_blk += states
             du_blk *= dh
             np.einsum("btds,ds->btd", du_blk, ad, out=d_delta[blk])
             # dh·phi is the gradient of the drive phi·Δ·B·x.
@@ -260,7 +285,8 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
 
         _each(rule_block, blocks)
         # One reduction over every (batch, token): per-block partial sums
-        # would change d_a in its last digits.
+        # would change d_a in its last digits.  du is the rule's one
+        # full-size array.
         d_a = np.einsum("btds,btd->ds", du, dd)
         return (d_x, d_delta, d_b, d_c, d_a)
 

@@ -222,6 +222,29 @@ class TestSsmScan:
         assert peak < 384 * 16 * 64 * 16 * 8, peak
 
 
+    def test_taped_forward_keeps_no_full_state_array(self, monkeypatch):
+        # The rule refills each block's states instead of keeping them, so
+        # after the forward less than one [B, Z, D, N] array (about 50 MB
+        # here) is held, and the backward's peak allows for its one
+        # full-size array, du, plus the per-thread scratch.
+        full = 384 * 16 * 64 * 16 * 8
+        monkeypatch.setattr(imb, "_WORKERS", 2)
+        params = init_ssm_params(64, 16, CounterRng(8))
+        x = parameter(np.random.default_rng(8).normal(size=(384, 16, 64)))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = tsum(ssm_scan(params, x))
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            backward(tape, loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < full, held
+        assert peak - held < 2 * full, peak - held
+
+
 class TestBlockedScan:
     """The taped scan runs over row blocks sized from imb.ROW_BLOCK_BYTES,
     on imb._WORKERS threads: the caller and imb._POOL's helpers.  Every
@@ -284,6 +307,21 @@ class TestBlockedScan:
                 blocked = self._run(monkeypatch, rows)
                 for name, a, b in zip(("y", "x", "delta", "b", "c", "a"), whole, blocked):
                     assert np.array_equal(a, b), (workers, rows, name)
+
+    def test_rule_refills_only_a_call_of_several_blocks(self, monkeypatch):
+        fills = []
+        fill_block = imb._fill_block
+
+        def counted(*args):
+            fills.append(args[0].shape[1])
+            fill_block(*args)
+
+        monkeypatch.setattr(imb, "_fill_block", counted)
+        self._run(monkeypatch, self.ROWS)
+        assert fills == [7]
+        fills.clear()
+        self._run(monkeypatch, 3)
+        assert sorted(fills) == [1, 1, 3, 3, 3, 3]
 
     def test_tape_free_output_is_bitwise_equal_across_worker_counts(self, use_workers):
         arrays, _ = self._inputs()
