@@ -27,8 +27,7 @@ from .spectral import (
     irfft,
     rfft,
 )
-from .tensor import Tensor, add, complex_from_halves, concat_real_imag, mul, parameter, relu
-from .nn import linear
+from .tensor import Tensor, _matmul_grads, _unbroadcast, add, parameter, record
 
 
 @dataclass
@@ -96,19 +95,58 @@ def init_afb_params(
     )
 
 
-def psi_filter_values(p: PsiFilter, s: Spectrum) -> Tensor:
-    """Complex filter values g[..., k, d] computed from a spectrum."""
+def psi_apply(p: PsiFilter, s: Spectrum) -> Spectrum:
+    """Multiply a spectrum z by the complex filter computed from it, as one
+    tape node.
+
+    The filter is o = relu([Re z, Im z]·w1 + b1)·w2 + b2, whose two halves
+    along the last axis are its real and imaginary parts.  The rule runs the
+    rules of that chain (the product, the complex packing, linear, relu,
+    linear, the real/imaginary split) in reverse order.  z reaches the
+    output through the product and through the filter, so the node lists it
+    twice and the tape sums the two as it did for the chain, after whatever
+    z's later consumers sent.
+    """
     bins = s.bins
     dim = bins.shape[-1]
     if p.w1.shape[0] != 2 * dim:
         raise ShapeError(f"filter expects width {p.w1.shape[0]}, spectrum has dim {dim}")
-    hidden = relu(linear(concat_real_imag(bins), p.w1, p.b1))
-    return complex_from_halves(linear(hidden, p.w2, p.b2))
+    if not bins.is_complex:
+        raise TypeError("psi_apply expects a complex spectrum")
+    if p.w1.is_complex or p.b1.is_complex or p.w2.is_complex or p.b2.is_complex:
+        raise TypeError("psi_apply filter weights must be real")
+    z = bins.data
+    parts = np.concatenate([z.real, z.imag], axis=-1)
+    hidden = parts @ p.w1.data
+    hidden += p.b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    halves = hidden @ p.w2.data
+    halves += p.b2.data
+    values = halves[..., :dim] + 1j * halves[..., dim:]
+    out = Tensor(values * z)
 
+    def rule(gs):
+        g = gs[0]
+        g_values = g * np.conj(z)
+        g_halves = np.concatenate([g_values.real, g_values.imag], axis=-1)
+        # The chain summed two narrows' scatters, each zero outside its half.
+        g_halves += 0.0
+        g_hidden, g_w2 = _matmul_grads(g_halves, hidden, p.w2.data)
+        # relu passes the gradient where its input was positive, which is
+        # where its output is.
+        g_hidden *= hidden > 0.0
+        g_parts, g_w1 = _matmul_grads(g_hidden, parts, p.w1.data)
+        g_z = 1j * g_parts[..., dim:]
+        g_z += g_parts[..., :dim]
+        return (
+            g * np.conj(values),
+            g_w2, _unbroadcast(g_halves, p.b2.shape),
+            g_w1, _unbroadcast(g_hidden, p.b1.shape),
+            g_z,
+        )
 
-def psi_apply(p: PsiFilter, s: Spectrum) -> Spectrum:
-    """Multiply a spectrum by the complex filter computed from it."""
-    return Spectrum(mul(psi_filter_values(p, s), s.bins), s.n_time)
+    record((bins, p.w2, p.b2, p.w1, p.b1, bins), (out,), rule)
+    return Spectrum(out, s.n_time)
 
 
 def afb_forward(

@@ -4,7 +4,8 @@ Each branch runs linear -> causal depthwise conv -> SiLU -> selective scan
 -> layer norm.  The two branch outputs cross-gate each other under a shared
 input gate, and a final short conv plus projection fuses them.
 
-The scan itself is one fused tape primitive with two paths, chosen by
+The scan, with the projections of B, C and Δ and the map A = -exp(a_log)
+that feed it, is one fused tape primitive with two paths, chosen by
 whether a tape is active.  Without one (evaluation, prediction) the
 recurrence runs token by token and keeps only the current state h_t, so
 memory grows with batch·dim·state, not with the token count.  It uses
@@ -53,17 +54,16 @@ from .nn import causal_conv1d, layer_norm, linear
 from .rng import CounterRng
 from .tensor import (
     Tensor,
+    _matmul_grads,
     _sigmoid,
     _silu_grad,
+    _softplus,
+    _unbroadcast,
     active_tape,
-    matmul,
-    neg,
     parameter,
     record,
     reshape,
     silu,
-    softplus,
-    texp,
 )
 
 
@@ -184,14 +184,15 @@ def _fill_block(out: np.ndarray, delta: np.ndarray, a: np.ndarray, dx: np.ndarra
         h[:, t] += abar[:, t] * h[:, t - 1]
 
 
-def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a: Tensor) -> Tensor:
+def _scan(xd: np.ndarray, dd: np.ndarray, bd: np.ndarray, cd: np.ndarray, ad: np.ndarray):
     """Recurrence y_t = C_t · h_t, h_t = exp(Δ_t A) ⊙ h_{t-1} + B̄_t ⊙ x_t.
 
-    Shapes: x, delta [batch, Z, dim]; b_proj, c_proj [batch, Z, state];
-    a [dim, state].  State is diagonal per (dim, state) pair.  Without an
-    active tape the states are built one token at a time and dropped.
+    Shapes: x, delta [batch, Z, dim]; b, c [batch, Z, state]; a [dim, state].
+    State is diagonal per (dim, state) pair.  Returns y and, under an active
+    tape, a function from y's gradient to the gradients of x, delta, b, c
+    and a; without one, the states are built one token at a time and
+    dropped, and the function is None.
     """
-    xd, dd, bd, cd, ad = x.data, delta.data, b_proj.data, c_proj.data, a.data
     n_batch, n_tok, dim = xd.shape
     if active_tape() is None:
         # h_t = h_{t-1} + g·(h_{t-1} + x·B/A) with g = expm1(ΔA).
@@ -209,7 +210,7 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
             drive *= g
             h += drive
             y[:, t] = np.matmul(h, cd[:, t, :, None])[..., 0]
-        return Tensor(y)
+        return y, None
 
     n_state = ad.shape[-1]
     rows = min(n_batch, max(1, ROW_BLOCK_BYTES // (n_tok * dim * n_state * 8)))
@@ -235,10 +236,8 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
     _each(forward_block, blocks)
     # One block is kept for the rule; a call of several refills each there.
     kept = scratch if len(blocks) == 1 else None
-    out = Tensor(y)
 
-    def rule(gs):
-        gy = gs[0]
+    def grads(gy):
         d_x = np.empty_like(xd)
         d_delta = np.empty_like(xd)
         d_b = np.empty_like(bd)
@@ -288,10 +287,9 @@ def _scan_primitive(x: Tensor, delta: Tensor, b_proj: Tensor, c_proj: Tensor, a:
         # would change d_a in its last digits.  du is the rule's one
         # full-size array.
         d_a = np.einsum("btds,btd->ds", du, dd)
-        return (d_x, d_delta, d_b, d_c, d_a)
+        return d_x, d_delta, d_b, d_c, d_a
 
-    record((x, delta, b_proj, c_proj, a), (out,), rule)
-    return out
+    return y, grads
 
 
 @dataclass
@@ -321,20 +319,57 @@ def init_ssm_params(dim: int, state: int, rng: CounterRng) -> SsmParams:
 
 
 def ssm_scan(params: SsmParams, x: Tensor) -> Tensor:
-    """Selective scan over tokens; x is [..., Z, dim], output matches."""
+    """Selective scan over tokens; x is [..., Z, dim], output matches.
+
+    One tape node, plus a reshape each way for a [Z, dim] input.  Inside it
+    run the projections B = x·W_B and C = x·W_C, the step sizes
+    Δ = softplus(x·W_Δ + b_Δ), A = -exp(a_log) and the recurrence.  The rule
+    runs the rules of that chain in reverse order: the recurrence, then A,
+    Δ, C and B.  x reaches the output four ways, so the node lists it four
+    times, each contribution where the chain's rules produced it, and the
+    tape sums them as it did for the chain.
+    """
     squeeze = x.ndim == 2
     if squeeze:
         x = reshape(x, (1,) + x.shape)
     if x.ndim != 3:
         raise ShapeError(f"ssm_scan expects [batch, tokens, dim] or [tokens, dim], got {x.shape}")
-    b_proj = matmul(x, params.w_b)
-    c_proj = matmul(x, params.w_c)
-    delta = softplus(linear(x, params.w_delta, params.delta_bias))
-    a = neg(texp(params.a_log))
-    y = _scan_primitive(x, delta, b_proj, c_proj, a)
+    if x.is_complex:
+        raise TypeError("ssm_scan is defined for real tensors only")
+    xd = x.data
+    w_b, w_c, w_delta = params.w_b.data, params.w_c.data, params.w_delta.data
+    pre = xd @ w_delta
+    pre += params.delta_bias.data
+    # Only the rule reads softplus' gradient; pre itself is not kept.
+    sig = None if active_tape() is None else _sigmoid(pre)
+    delta = _softplus(pre)
+    del pre
+    exp_a = np.exp(params.a_log.data)
+    y, scan_grads = _scan(xd, delta, xd @ w_b, xd @ w_c, -exp_a)
+    out = Tensor(y)
+    if scan_grads is not None:
+
+        def rule(gs):
+            d_x, g_pre, d_b, d_c, d_a = scan_grads(gs[0])
+            g_pre *= sig
+            gx_delta, g_w_delta = _matmul_grads(g_pre, xd, w_delta)
+            gx_c, g_w_c = _matmul_grads(d_c, xd, w_c)
+            gx_b, g_w_b = _matmul_grads(d_b, xd, w_b)
+            return (
+                d_x, -d_a * exp_a,
+                gx_delta, g_w_delta, _unbroadcast(g_pre, params.delta_bias.shape),
+                gx_c, g_w_c,
+                gx_b, g_w_b,
+            )
+
+        record(
+            (x, params.a_log, x, params.w_delta, params.delta_bias, x, params.w_c, x, params.w_b),
+            (out,),
+            rule,
+        )
     if squeeze:
-        y = reshape(y, y.shape[1:])
-    return y
+        out = reshape(out, out.shape[1:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +457,9 @@ def cross_gate(h1: Tensor, h2: Tensor, gate: Tensor) -> Tensor:
     """silu(h1)·h2·gate + silu(h2)·h1·gate, elementwise, as one tape node.
 
     The rule repeats the rules of that chain of silu, mul and add nodes in
-    the order the chain ran them, summing each input's contributions in the
-    same order, so the gradients are bitwise equal to the chain's when the
-    three inputs have no other consumer.
+    the order the chain ran them.  Each input reaches the output twice, so
+    the node lists it twice, each contribution where the chain's rules
+    produced it, and the tape sums them as it did for the chain.
     """
     if not h1.shape == h2.shape == gate.shape:
         raise ShapeError(f"cross_gate shapes disagree: {h1.shape}, {h2.shape}, {gate.shape}")
@@ -441,17 +476,16 @@ def cross_gate(h1: Tensor, h2: Tensor, gate: Tensor) -> Tensor:
 
     def rule(gs):
         g_gated = gs[0] * gd
-        g_silu_2 = g_gated * a
-        g_h1 = g_gated * (b * sig_2)
-        g_h2 = _silu_grad(g_silu_2, b, sig_2)
-        g_gate = gs[0] * gated_2
-        g_gate = g_gate + gs[0] * gated_1
-        g_silu_1 = g_gated * b
-        g_h2 = g_h2 + g_gated * (a * sig_1)
-        g_h1 = g_h1 + _silu_grad(g_silu_1, a, sig_1)
-        return (g_h1, g_h2, g_gate)
+        return (
+            gs[0] * gated_2,
+            g_gated * (b * sig_2),
+            _silu_grad(g_gated * a, b, sig_2),
+            gs[0] * gated_1,
+            g_gated * (a * sig_1),
+            _silu_grad(g_gated * b, a, sig_1),
+        )
 
-    record((h1, h2, gate), (out,), rule)
+    record((gate, h1, h2, gate, h2, h1), (out,), rule)
     return out
 
 

@@ -5,8 +5,10 @@ and in the same order, the rules of the primitive chain it stands for
 (``matmul`` then ``add`` for ``linear``, and so on), so its output and
 gradients are bitwise equal to that chain's.  Where the chain sent an
 input several contributions (``layer_norm``'s x, through the centring and
-the mean), the rule sums them inside the node; that order holds, and so do
-the bits, when the input has no other consumer.
+the mean), the node lists that input once per contribution, in the order
+the chain's rules ran, and returns the contributions apart: the tape then
+adds them to whatever the input's other consumers sent, as it did for the
+chain.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     out = Tensor(out_data)
 
     def rule(gs):
-        grads = _matmul_grads(gs[0], x, weight)
+        grads = _matmul_grads(gs[0], x.data, weight.data)
         return grads if bias is None else grads + (_unbroadcast(gs[0], bias.shape),)
 
     record((x, weight) if bias is None else (x, weight, bias), (out,), rule)
@@ -48,9 +50,8 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     if x.shape[-1] != dim:
         raise ShapeError(f"kernel dim {dim} does not match input dim {x.shape[-1]}")
     n_tokens = x.shape[-2]
-    widths = [(0, 0)] * x.ndim
-    widths[-2] = (k - 1, 0)
-    padded = np.pad(x.data, widths)
+    padded = np.zeros(x.shape[:-2] + (n_tokens + k - 1, dim))
+    padded[..., k - 1 :, :] = x.data
     kd = kernel.data
     # Window i is padded[..., i : i + n_tokens, :]; it multiplies kernel row i.
     out_data = padded[..., :n_tokens, :] * kd[0:1]
@@ -88,8 +89,8 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine.
 
-    x's two contributions are summed inside the node, so the gradient is
-    bitwise equal to the primitive chain's when x has no other consumer.
+    x is listed twice, for its contributions through the centring and
+    through the mean.
     """
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
@@ -118,8 +119,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         g_centered = g_centered + g_square * centered
         g_centered = g_centered + g_square * centered
         g_mean = _unbroadcast(-g_centered, mean.shape)
-        g_x = g_centered + np.broadcast_to(g_mean, xd.shape) * share
-        return (g_x, g_gamma, g_beta)
+        return (g_centered, np.broadcast_to(g_mean, xd.shape) * share, g_gamma, g_beta)
 
-    record((x, gamma, beta), (out,), rule)
+    record((x, x, gamma, beta), (out,), rule)
     return out

@@ -76,8 +76,13 @@ class CounterRng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n) by sorting random keys."""
-        keys = self._next_block(n)
-        return np.argsort(keys, kind="stable")
+        return self.permutations(1, n)[0]
+
+    def permutations(self, rows: int, n: int) -> np.ndarray:
+        """[rows, n] permutations of range(n), the same as ``rows`` calls of
+        :meth:`permutation` in a row: each row sorts the next n keys."""
+        keys = self._next_block(rows * n).reshape(rows, n)
+        return np.argsort(keys, axis=-1, kind="stable")
 
     def spawn(self, *tags: int | str) -> "CounterRng":
         """Independent substream derived from this seed plus tags."""

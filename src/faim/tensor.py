@@ -230,17 +230,17 @@ def _check_matmul_operands(name: str, a: Tensor, b: Tensor):
         raise ShapeError(f"{name} operands must have at least 2 dimensions")
 
 
-def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of a @ b with respect to a and b."""
-    ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-    gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of a @ b with respect to the arrays a and b."""
+    ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
     return ga, gb
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_matmul_operands("matmul", a, b)
     out = Tensor(a.data @ b.data)
-    record((a, b), (out,), lambda gs: _matmul_grads(gs[0], a, b))
+    record((a, b), (out,), lambda gs: _matmul_grads(gs[0], a.data, b.data))
     return out
 
 
@@ -357,10 +357,15 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)), without overflow for large x."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def softplus(a: Tensor) -> Tensor:
     _require_real(a, "softplus")
     x = a.data
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
+    out = Tensor(_softplus(x))
     s = _sigmoid(x)
     record((a,), (out,), lambda gs: (gs[0] * s,))
     return out
@@ -488,44 +493,6 @@ def make_complex(re: Tensor, im: Tensor) -> Tensor:
         )
 
     record((re, im), (out,), rule)
-    return out
-
-
-def concat_real_imag(a: Tensor) -> Tensor:
-    """Real and imaginary parts of a complex tensor side by side along the
-    last axis: [..., d] complex -> [..., 2d] real."""
-    if not a.is_complex:
-        raise TypeError("concat_real_imag expects a complex tensor")
-    d = a.shape[-1]
-    out = Tensor(np.concatenate([a.data.real, a.data.imag], axis=-1))
-
-    def rule(gs):
-        # imag's rule, then real's added to it, as the concat chain ran them.
-        grad = 1j * gs[0][..., d:]
-        grad += gs[0][..., :d]
-        return (grad,)
-
-    record((a,), (out,), rule)
-    return out
-
-
-def complex_from_halves(a: Tensor) -> Tensor:
-    """Complex tensor whose real and imaginary parts are the first and second
-    halves of a real tensor's last axis: [..., 2d] real -> [..., d] complex."""
-    if a.is_complex:
-        raise TypeError("complex_from_halves expects a real tensor")
-    if a.shape[-1] % 2:
-        raise ShapeError(f"complex_from_halves needs an even last axis, got {a.shape}")
-    d = a.shape[-1] // 2
-    out = Tensor(a.data[..., :d] + 1j * a.data[..., d:])
-
-    def rule(gs):
-        grad = np.concatenate([gs[0].real, gs[0].imag], axis=-1)
-        # The chain summed two narrows' scatters, each zero outside its half.
-        grad += 0.0
-        return (grad,)
-
-    record((a,), (out,), rule)
     return out
 
 

@@ -50,11 +50,9 @@ def make_mask(shape: tuple[int, ...], ratio: float, seed: int) -> np.ndarray:
     z = shape[-1]
     n_masked = int(round(ratio * z))
     lam = np.zeros(shape)
-    rng = CounterRng(derive_seed(seed, "mask", *shape))
     flat = lam.reshape(-1, z)
-    for row in range(flat.shape[0]):
-        chosen = rng.permutation(z)[:n_masked]
-        flat[row, chosen] = 1.0
+    chosen = CounterRng(derive_seed(seed, "mask", *shape)).permutations(flat.shape[0], z)
+    np.put_along_axis(flat, chosen[:, :n_masked], 1.0, axis=-1)
     return lam
 
 

@@ -16,7 +16,7 @@ from faim import imb
 from faim.errors import ShapeError
 from faim.gradcheck import finite_diff_check
 from faim.imb import (
-    _scan_primitive,
+    SsmParams,
     discretize,
     imb_branch,
     imb_forward,
@@ -26,7 +26,21 @@ from faim.imb import (
 )
 from faim.nn import causal_conv1d, layer_norm, linear
 from faim.rng import CounterRng
-from faim.tensor import Tape, Tensor, backward, mul, parameter, silu, tsum
+from faim.tensor import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    matmul,
+    mul,
+    neg,
+    parameter,
+    record,
+    silu,
+    softplus,
+    texp,
+    tsum,
+)
 
 
 def np_softplus(v):
@@ -54,6 +68,19 @@ def scan_np(params, x):
         h = a_bar * h + b_bar * x[t][:, None]
         ys[t] = h @ ct[t]
     return ys
+
+
+def scan_chain(params, x):
+    """The chain ssm_scan stands for: B, C, Δ and A as nodes of their own,
+    then one node for the recurrence alone."""
+    b_proj = matmul(x, params.w_b)
+    c_proj = matmul(x, params.w_c)
+    delta = softplus(linear(x, params.w_delta, params.delta_bias))
+    a = neg(texp(params.a_log))
+    y, grads = imb._scan(x.data, delta.data, b_proj.data, c_proj.data, a.data)
+    out = Tensor(y)
+    record((x, delta, b_proj, c_proj, a), (out,), lambda gs: grads(gs[0]))
+    return out
 
 
 class TestDiscretize:
@@ -146,6 +173,17 @@ class TestSsmScan:
         a = -np.exp(params.a_log.data)
         a_bar = np.exp(delta[..., None] * a)
         assert np.all(a_bar > 0.0) and np.all(a_bar < 1.0)
+
+    def test_records_one_node(self):
+        params = self._params()
+        x = np.random.default_rng(2).normal(size=(2, 6, 3))
+        with Tape() as tape:
+            ssm_scan(params, Tensor(x))
+        assert len(tape.nodes) == 1
+        with Tape() as tape:
+            ssm_scan(params, Tensor(x[0]))
+        # a [Z, dim] input is reshaped to one row and back
+        assert len(tape.nodes) == 3
 
     def test_rank_mismatch_rejected(self):
         params = self._params()
@@ -252,26 +290,32 @@ class TestBlockedScan:
     on one thread."""
 
     ROWS, TOKENS, DIM, STATE = 7, 6, 5, 3
+    NAMES = ("y", "x", "a_log", "w_b", "w_c", "w_delta", "delta_bias")
 
     def _inputs(self):
         params = init_ssm_params(self.DIM, self.STATE, CounterRng(9))
+        # tiny steps put u = Δ·A on both sides of the series thresholds
+        params.delta_bias.data[:] = -10.5
         rng = np.random.default_rng(9)
         x = rng.normal(size=(self.ROWS, self.TOKENS, self.DIM))
-        # tiny steps put u = Δ·A on both sides of the series thresholds
-        delta = np_softplus(x @ params.w_delta.data - 10.5)
-        a = -np.exp(params.a_log.data)
-        u = np.abs(delta[..., None] * a)
+        delta = np_softplus(x @ params.w_delta.data + params.delta_bias.data)
+        u = np.abs(delta[..., None] * np.exp(params.a_log.data))
         assert np.any(u < 1e-4) and np.any(u >= 1e-4)
         weights = rng.normal(size=x.shape)
-        return (x, delta, x @ params.w_b.data, x @ params.w_c.data, a), weights
+        # zero weights of both signs make zero gradients, whose signs count too
+        weights[..., 0] = -0.0
+        weights.flat[1::5] = 0.0
+        return params, x, weights
 
-    def _run(self, monkeypatch, rows):
+    def _run(self, monkeypatch, rows, scan=ssm_scan):
+        """y and the gradients of x and every SsmParams field, for y plus x
+        read out: x also feeds the sum after the scan."""
         monkeypatch.setattr(imb, "ROW_BLOCK_BYTES", rows * self.TOKENS * self.DIM * self.STATE * 8)
-        arrays, weights = self._inputs()
-        leaves = [parameter(v) for v in arrays]
+        params, x, weights = self._inputs()
+        leaves = [parameter(x)] + [parameter(v.data) for v in dataclasses.astuple(params)]
         with Tape() as tape:
-            y = _scan_primitive(*leaves)
-            loss = tsum(mul(y, Tensor(weights)))
+            y = scan(SsmParams(*leaves[1:]), leaves[0])
+            loss = tsum(mul(add(y, leaves[0]), Tensor(weights)))
         grads = backward(tape, loss)
         return [y.data] + [grads[leaf] for leaf in leaves]
 
@@ -305,8 +349,18 @@ class TestBlockedScan:
             use_workers(workers)
             for rows in (1, 3) * 5:
                 blocked = self._run(monkeypatch, rows)
-                for name, a, b in zip(("y", "x", "delta", "b", "c", "a"), whole, blocked):
-                    assert np.array_equal(a, b), (workers, rows, name)
+                for name, a, b in zip(self.NAMES, whole, blocked):
+                    assert a.tobytes() == b.tobytes(), (workers, rows, name)
+
+    def test_one_node_is_bitwise_equal_to_its_chain(self, monkeypatch, use_workers):
+        # one block and several, on 1, 2 and 3 workers
+        for workers in (1, 2, 3):
+            use_workers(workers)
+            for rows in (self.ROWS, 1, 3):
+                fused = self._run(monkeypatch, rows)
+                chain = self._run(monkeypatch, rows, scan_chain)
+                for name, a, b in zip(self.NAMES, fused, chain):
+                    assert a.tobytes() == b.tobytes(), (workers, rows, name)
 
     def test_rule_refills_only_a_call_of_several_blocks(self, monkeypatch):
         fills = []
@@ -324,11 +378,11 @@ class TestBlockedScan:
         assert sorted(fills) == [1, 1, 3, 3, 3, 3]
 
     def test_tape_free_output_is_bitwise_equal_across_worker_counts(self, use_workers):
-        arrays, _ = self._inputs()
+        params, x, _ = self._inputs()
         outputs = []
         for workers in (1, 2, 3):
             use_workers(workers)
-            outputs.append(_scan_primitive(*map(Tensor, arrays)).data)
+            outputs.append(ssm_scan(params, Tensor(x)).data)
         assert all(np.array_equal(outputs[0], y) for y in outputs[1:])
 
     def test_one_block_never_touches_the_pool(self, monkeypatch):
@@ -339,11 +393,10 @@ class TestBlockedScan:
         monkeypatch.setattr(imb, "_WORKERS", 2)
         monkeypatch.setattr(imb, "_POOL", RefusingPool())
         # pretrain-tiny geometry: 8 rows of 16 tokens, dim 16, state 4
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(8, 16, 16))
-        leaves = [parameter(v) for v in (x, np_softplus(x), x[..., :4], x[..., 4:8], -np.ones((16, 4)))]
+        params = init_ssm_params(16, 4, CounterRng(4))
+        x = parameter(np.random.default_rng(4).normal(size=(8, 16, 16)))
         with Tape() as tape:
-            loss = tsum(_scan_primitive(*leaves))
+            loss = tsum(ssm_scan(params, x))
         backward(tape, loss)
 
     def test_helpers_that_never_start_are_not_waited_for(self, monkeypatch):
@@ -379,15 +432,15 @@ class TestBlockedScan:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_scans_on_a_pool_of_its_own(self, use_workers):
         use_workers(2)
-        arrays, _ = self._inputs()
-        y = _scan_primitive(*map(Tensor, arrays)).data
+        params, x, _ = self._inputs()
+        y = ssm_scan(params, Tensor(x)).data
         imb._POOL.submit(int).result(timeout=10)  # the pool's thread now runs
         read_end, write_end = os.pipe()
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                os.write(write_end, _scan_primitive(*map(Tensor, arrays)).data.tobytes())
+                os.write(write_end, ssm_scan(params, Tensor(x)).data.tobytes())
                 # times out on the inherited pool, which has no threads
                 imb._POOL.submit(int).result(timeout=10)
                 code = 0

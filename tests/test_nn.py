@@ -8,17 +8,17 @@ exactly as the blocks used to compose them.
 import numpy as np
 import pytest
 
+from faim.afb import PsiFilter, psi_apply
 from faim.gradcheck import finite_diff_check
 from faim.imb import cross_gate
 from faim.nn import causal_conv1d, layer_norm, linear
+from faim.spectral import KEEP_ABOVE, KEEP_BELOW, Spectrum, apply_mask, band_mask
 from faim.tensor import (
     Tape,
     Tensor,
     add,
     backward,
-    complex_from_halves,
     concat,
-    concat_real_imag,
     div,
     imag,
     make_complex,
@@ -29,6 +29,7 @@ from faim.tensor import (
     pad_axis,
     parameter,
     real,
+    relu,
     silu,
     sub,
     texp,
@@ -90,13 +91,20 @@ def mse_chain(x_true, x_hat, lam):
     return mul(tsum(mul(per_patch, Tensor(lam))), Tensor(1.0 / lam.sum()))
 
 
-def concat_real_imag_chain(z):
-    return concat([real(z), imag(z)], axis=-1)
+def _spectrum(bins):
+    return Spectrum(bins, 2 * (bins.shape[-2] - 1))
 
 
-def complex_from_halves_chain(p):
-    d = p.shape[-1] // 2
-    return make_complex(narrow(p, p.ndim - 1, 0, d), narrow(p, p.ndim - 1, d, d))
+def apply_psi(bins, w1, b1, w2, b2):
+    return psi_apply(PsiFilter(w1, b1, w2, b2), _spectrum(bins)).bins
+
+
+def psi_apply_chain(bins, w1, b1, w2, b2):
+    d = bins.shape[-1]
+    hidden = relu(linear(concat([real(bins), imag(bins)], axis=-1), w1, b1))
+    halves = linear(hidden, w2, b2)
+    values = make_complex(narrow(halves, halves.ndim - 1, 0, d), narrow(halves, halves.ndim - 1, d, d))
+    return mul(values, bins)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +124,11 @@ def _readout(out):
     weights[..., 0] = -0.0
     weights.flat[1::5] = 0.0
     if out.is_complex:
-        weights = weights + 1j * rng.normal(size=out.shape)
-        return tsum(real(mul(out, Tensor(weights))))
+        # The weight is a zero of that sign in both parts where it is zero.
+        complex_weights = np.empty(out.shape, dtype=np.complex128)
+        complex_weights.real = weights
+        complex_weights.imag = np.where(weights == 0.0, weights, rng.normal(size=out.shape))
+        return tsum(real(mul(out, Tensor(complex_weights))))
     return tsum(mul(out, Tensor(weights)))
 
 
@@ -170,14 +181,15 @@ def _cases():
             f"cross_gate-{len(x_shape)}d", cross_gate, cross_gate_chain,
             [rng.normal(size=x_shape) for _ in range(3)],
         ))
-        cases.append((
-            f"concat_real_imag-{len(x_shape)}d", concat_real_imag, concat_real_imag_chain,
-            [rng.normal(size=x_shape) + 1j * rng.normal(size=x_shape)],
-        ))
-        cases.append((
-            f"complex_from_halves-{len(x_shape)}d", complex_from_halves, complex_from_halves_chain,
-            [rng.normal(size=x_shape[:-1] + (6,))],
-        ))
+        for dead in (False, True):
+            # A positive first bias keeps most hidden units alive; a negative
+            # one leaves many at zero, whose gradients are zeros of either sign.
+            bins = rng.normal(size=x_shape) + 1j * rng.normal(size=x_shape)
+            cases.append((
+                f"psi_apply-{len(x_shape)}d" + ("-dead" if dead else ""), apply_psi, psi_apply_chain,
+                [bins, rng.normal(size=(6, 3)), rng.normal(size=3) + (-2.0 if dead else 1.0),
+                 rng.normal(size=(3, 6)), rng.normal(size=6)],
+            ))
     labels = np.array([0, 2, 1, 2])
     cases.append((
         "batch_label_smoothed_ce", lambda z: batch_label_smoothed_ce(z, labels, 0.1),
@@ -218,11 +230,66 @@ def test_fused_op_gradcheck(name, fused, chain, arrays):
         assert finite_diff_check(f, Tensor(arrays[i])) < 1e-5, f"input {i}"
 
 
+def psi_global_branch(psi_op):
+    """The global branch of the filtering block: the filtered spectrum plus
+    the two masked copies of the same spectrum, taken after the filter."""
+
+    def op(bins, w1, b1, w2, b2, theta_high, theta_low):
+        s = _spectrum(bins)
+        out = psi_op(bins, w1, b1, w2, b2)
+        for theta, direction in ((theta_high, KEEP_BELOW), (theta_low, KEEP_ABOVE)):
+            out = add(out, apply_mask(s, band_mask(s, theta, direction)).bins)
+        return out
+
+    return op
+
+
+def _shared_cases():
+    """Fused ops whose inputs also feed other ops, and one op fed the same
+    tensor three times."""
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(2, 5, 3))
+    bins = rng.normal(size=(2, 5, 3)) + 1j * rng.normal(size=(2, 5, 3))
+    psi = [rng.normal(size=(6, 3)), rng.normal(size=3) + 1.0, rng.normal(size=(3, 6)), rng.normal(size=6)]
+    return [
+        (
+            "layer_norm-x-also-added", lambda x, g, b: add(layer_norm(x, g, b), x),
+            lambda x, g, b: add(layer_norm_chain(x, g, b), x), [x, rng.normal(size=3), rng.normal(size=3)],
+        ),
+        (
+            "cross_gate-inputs-also-used",
+            lambda h1, h2, g: add(add(mul(h2, g), cross_gate(h1, h2, g)), h1),
+            lambda h1, h2, g: add(add(mul(h2, g), cross_gate_chain(h1, h2, g)), h1),
+            [rng.normal(size=(2, 5, 3)) for _ in range(3)],
+        ),
+        ("cross_gate-one-input", lambda h: cross_gate(h, h, h), lambda h: cross_gate_chain(h, h, h), [x]),
+        (
+            "psi_apply-global-branch", psi_global_branch(apply_psi), psi_global_branch(psi_apply_chain),
+            [bins] + psi + [np.array(0.4), np.array(0.05)],
+        ),
+    ]
+
+
+SHARED_CASES = _shared_cases()
+
+
+@pytest.mark.parametrize("name, fused, chain, arrays", SHARED_CASES, ids=[c[0] for c in SHARED_CASES])
+def test_fused_op_is_bitwise_equal_to_its_chain_when_inputs_are_shared(name, fused, chain, arrays):
+    # Each input's contributions reach the tape apart, so the tape adds them
+    # to the other consumers' in the chain's order.
+    out, grads, _ = _run(fused, arrays)
+    out_ref, grads_ref, _ = _run(chain, arrays)
+    assert out.tobytes() == out_ref.tobytes()
+    for i, (g, g_ref) in enumerate(zip(grads, grads_ref)):
+        assert g.tobytes() == g_ref.tobytes(), f"gradient of input {i} differs"
+
+
 @pytest.mark.parametrize(
     "op, args",
     [
-        (concat_real_imag, [np.ones((2, 3))]),
-        (complex_from_halves, [np.ones((2, 4), dtype=np.complex128)]),
+        (apply_psi, [np.ones((2, 3)), np.ones((6, 3)), np.zeros(3), np.ones((3, 6)), np.zeros(6)]),
+        (apply_psi, [np.ones((2, 3), dtype=np.complex128), np.ones((6, 3), dtype=np.complex128),
+                     np.zeros(3), np.ones((3, 6)), np.zeros(6)]),
         (linear, [np.ones((2, 3), dtype=np.complex128), np.ones((3, 2))]),
         (causal_conv1d, [np.ones((4, 3), dtype=np.complex128), np.ones((2, 3))]),
         (layer_norm, [np.ones((2, 3), dtype=np.complex128), np.ones(3), np.zeros(3)]),

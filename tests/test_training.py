@@ -11,6 +11,7 @@ from faim.data import SeriesDataset, make_synthetic_freq_dataset, make_synthetic
 from faim.errors import ConfigError, InputError, NonFiniteError, ShapeError
 from faim.metrics import accuracy_and_macro_f1
 from faim.model import FaimConfig, build_model, classify_batch, load_checkpoint
+from faim.rng import CounterRng, derive_seed
 from faim.tensor import Tape, Tensor, backward, parameter
 from faim.training import (
     REPORT_COLUMNS,
@@ -71,6 +72,19 @@ class TestMakeMask:
     def test_rows_differ_within_a_plan(self):
         lam = make_mask((8, 16), 0.5, seed=7)
         assert len({row.tobytes() for row in lam}) > 1
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.75])
+    @pytest.mark.parametrize("shape", [(8, 1, 16), (3, 6, 16), (2, 5)])
+    def test_equals_one_permutation_per_row(self, shape, ratio):
+        # Rows sort consecutive blocks of keys from one stream, as one
+        # permutation per row did.
+        z = shape[-1]
+        rng = CounterRng(derive_seed(11, "mask", *shape))
+        expected = np.zeros(shape)
+        flat = expected.reshape(-1, z)
+        for row in range(flat.shape[0]):
+            flat[row, np.argsort(rng._next_block(z), kind="stable")[: int(round(ratio * z))]] = 1.0
+        assert make_mask(shape, ratio, seed=11).tobytes() == expected.tobytes()
 
     def test_ratio_bounds(self):
         with pytest.raises(InputError):
