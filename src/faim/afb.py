@@ -105,7 +105,8 @@ def psi_apply(p: PsiFilter, s: Spectrum) -> Spectrum:
     linear, the real/imaginary split) in reverse order.  z reaches the
     output through the product and through the filter, so the node lists it
     twice and the tape sums the two as it did for the chain, after whatever
-    z's later consumers sent.
+    z's later consumers sent.  The node keeps the hidden activations and
+    the complex filter values; the rule rebuilds [Re z, Im z] from z.
     """
     bins = s.bins
     dim = bins.shape[-1]
@@ -116,8 +117,7 @@ def psi_apply(p: PsiFilter, s: Spectrum) -> Spectrum:
     if p.w1.is_complex or p.b1.is_complex or p.w2.is_complex or p.b2.is_complex:
         raise TypeError("psi_apply filter weights must be real")
     z = bins.data
-    parts = np.concatenate([z.real, z.imag], axis=-1)
-    hidden = parts @ p.w1.data
+    hidden = np.concatenate([z.real, z.imag], axis=-1) @ p.w1.data
     hidden += p.b1.data
     np.maximum(hidden, 0.0, out=hidden)
     halves = hidden @ p.w2.data
@@ -135,6 +135,7 @@ def psi_apply(p: PsiFilter, s: Spectrum) -> Spectrum:
         # relu passes the gradient where its input was positive, which is
         # where its output is.
         g_hidden *= hidden > 0.0
+        parts = np.concatenate([z.real, z.imag], axis=-1)
         g_parts, g_w1 = _matmul_grads(g_hidden, parts, p.w1.data)
         g_z = 1j * g_parts[..., dim:]
         g_z += g_parts[..., :dim]

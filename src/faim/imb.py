@@ -22,22 +22,24 @@ avoids recording ~10 tape nodes per token while keeping the gradient exact
 (verified against finite differences and the unrolled recurrence).
 
 The taped forward and its rule run over row blocks of the batch, each
-[rows, Z, dim, state] array of a block holding about ROW_BLOCK_BYTES, so
-that every op of a block works in cache.  _fill_block computes a block's
+[rows, Z, dim, state] array of a block holding about tensor.ROW_BLOCK_BYTES,
+so that every op of a block works in cache.  _fill_block computes a block's
 u = ΔA, decay factors exp(ΔA), discretisation factors (exp(ΔA) - 1)/(ΔA)
-and states h_t.  The forward keeps none of them past its block: as in
-Mamba's hardware-aware scan, the rule recomputes them, block by block, with
-the same operations, and only a call of one block keeps its block for the
-rule.  The blocks run on one thread per CPU this process may use, the
-calling thread among them (numpy releases the interpreter lock inside its
-loops); each thread takes the next block not yet taken, in its own slice of
-scratch, allocated once per pass.  Every element goes through the same
-operations in the same order whatever the block size or thread count, so
-outputs and gradients are bitwise equal to one whole-batch pass on one
-thread.  The one reduction over (batch, token), the gradient of A, runs
-once over a full-size buffer, du, after the blocks: summing per-block
-partial results would change it in the last digits.  du lives only while
-the rule runs; it is the one full-size [batch, Z, dim, state] array left.
+and states h_t from Δ·x, which each block forms for itself.  The forward
+keeps none of them past its block: as in Mamba's hardware-aware scan, the
+rule recomputes them, block by block, with the same operations, and only a
+call of one block keeps its block for the rule.  The blocks run on one
+thread per CPU this process may use, the calling thread among them (numpy
+releases the interpreter lock inside its loops); each thread takes the next
+block not yet taken, in its own slice of scratch, allocated once per pass.
+Every element goes through the same operations in the same order whatever
+the block size or thread count, so outputs and gradients are bitwise equal
+to one whole-batch pass on one thread.  The one reduction over (batch,
+token), the gradient of A, sums the products du·Δ: each block forms its du
+in its thread's scratch, and the blocks add their products to one running
+total in block order (tensor._add_running), which gives the bits of one
+einsum over a full-size du.  No array of the rule is full-size
+[batch, Z, dim, state].
 """
 
 from __future__ import annotations
@@ -49,11 +51,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
 from .errors import ShapeError
 from .nn import causal_conv1d, layer_norm, linear
 from .rng import CounterRng
 from .tensor import (
     Tensor,
+    _add_running,
     _matmul_grads,
     _sigmoid,
     _silu_grad,
@@ -105,14 +109,6 @@ def discretize(A, B_t, delta_t):
 # fused selective scan
 # ---------------------------------------------------------------------------
 
-# Byte budget of one row block, sized to stay in a typical L2 cache.  The
-# taped scan fills each [rows, Z, dim, state] array of a block (u, abar, phi,
-# states) this many bytes at a time, one block per thread at once, and the
-# rule its state gradient and du; training.row_block sizes
-# tape-free forwards from it.  Larger blocks stream every op through main
-# memory; blocks of one or two rows pay per-op overhead instead.
-ROW_BLOCK_BYTES = 2**20
-
 # One scan thread per CPU this process may use: the calling thread and a
 # pool of helpers, which starts its threads on first use.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -130,31 +126,59 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_start_pool)
 
 
-def _each(fn, blocks: list[slice]) -> None:
+def _each(fn, blocks: list[slice], then=None) -> None:
     """Call fn(worker, blk) for every block, inline when there is one block
     or one CPU.  Otherwise the calling thread is worker 0 and pool helpers
     1, 2, ... join it; each takes the next block not yet taken, so a thread
     that starts late or runs slow takes fewer, and a helper that has not
     started when the blocks run out is cancelled, not waited for.  Helpers
-    run under the caller's np.errstate."""
+    run under the caller's np.errstate.
+
+    ``then(worker, blk)``, if given, runs after fn(worker, blk) and after
+    ``then`` has run for every earlier block, so it may carry a running
+    total in block order; a thread waits for its turn holding its block.
+    Once a block raises, no thread starts a block or waits for a turn, and
+    the error propagates to the caller.
+    """
     workers = min(_WORKERS, len(blocks))
     if workers <= 1:
         for blk in blocks:
             fn(0, blk)
+            if then is not None:
+                then(0, blk)
         return
 
-    todo = iter(blocks)
-    lock = threading.Lock()
+    todo = enumerate(blocks)
+    turns = threading.Condition()
+    done = 0  # blocks whose then has run
+    failed = False
     errors = np.geterr()
 
     def share(w):
+        nonlocal done, failed
         with np.errstate(**errors):
-            while True:
-                with lock:
-                    blk = next(todo, None)
-                if blk is None:
-                    return
-                fn(w, blk)
+            try:
+                while True:
+                    with turns:
+                        i, blk = next(todo, (None, None))
+                        if blk is None or failed:
+                            return
+                    fn(w, blk)
+                    if then is None:
+                        continue
+                    with turns:
+                        turns.wait_for(lambda: done == i or failed)
+                        if failed:
+                            return
+                    then(w, blk)
+                    with turns:
+                        done += 1
+                        turns.notify_all()
+            except BaseException:
+                with turns:
+                    failed = True
+                    turns.notify_all()
+                raise
 
     helpers = [_POOL.submit(share, w) for w in range(1, workers)]
     try:
@@ -213,24 +237,24 @@ def _scan(xd: np.ndarray, dd: np.ndarray, bd: np.ndarray, cd: np.ndarray, ad: np
         return y, None
 
     n_state = ad.shape[-1]
-    rows = min(n_batch, max(1, ROW_BLOCK_BYTES // (n_tok * dim * n_state * 8)))
+    rows = min(n_batch, max(1, tensor.ROW_BLOCK_BYTES // (n_tok * dim * n_state * 8)))
     blocks = [slice(r0, min(r0 + rows, n_batch)) for r0 in range(0, n_batch, rows)]
-    dx = dd * xd
     y = np.empty_like(xd)
 
     def new_scratch():
-        # Per thread, one block each of u, abar, phi and the states.
-        return np.empty((min(_WORKERS, len(blocks)), 4, rows, n_tok, dim, n_state))
+        # Per thread, one block each of u, abar, phi, the states and, for
+        # the rule, du.
+        return np.empty((min(_WORKERS, len(blocks)), 5, rows, n_tok, dim, n_state))
 
-    def fill(scratch, w, blk):
+    def fill(scratch, w, blk, dx):
         block = scratch[w, :, : blk.stop - blk.start]
-        _fill_block(block, dd[blk], ad, dx[blk], bd[blk])
+        _fill_block(block[:4], dd[blk], ad, dx, bd[blk])
         return block
 
     scratch = new_scratch()
 
     def forward_block(w, blk):
-        h = fill(scratch, w, blk)[3]
+        h = fill(scratch, w, blk, dd[blk] * xd[blk])[3]
         np.matmul(h, cd[blk, ..., None], out=y[blk, ..., None])
 
     _each(forward_block, blocks)
@@ -242,17 +266,17 @@ def _scan(xd: np.ndarray, dd: np.ndarray, bd: np.ndarray, cd: np.ndarray, ad: np
         d_delta = np.empty_like(xd)
         d_b = np.empty_like(bd)
         d_c = np.empty_like(cd)
-        du = np.empty((n_batch, n_tok, dim, n_state))
+        d_a = np.zeros_like(ad)
         scratch = new_scratch() if kept is None else kept
 
         def rule_block(w, blk):
             # dh, the state gradient, takes the slot of u, which the rule
             # does not read.
+            dx = dd[blk] * xd[blk]
             if kept is None:
-                dh, a_blk, phi_blk, states = fill(scratch, w, blk)
+                dh, a_blk, phi_blk, states, du = fill(scratch, w, blk, dx)
             else:
-                dh, a_blk, phi_blk, states = scratch[w, :, : blk.stop - blk.start]
-            du_blk = du[blk]
+                dh, a_blk, phi_blk, states, du = scratch[w, :, : blk.stop - blk.start]
             np.matmul(gy[blk, :, None, :], states, out=d_c[blk, :, None, :])
             np.multiply(gy[blk, ..., None], cd[blk, :, None, :], out=dh)
             for t in range(n_tok - 2, -1, -1):
@@ -263,30 +287,33 @@ def _scan(xd: np.ndarray, dd: np.ndarray, bd: np.ndarray, cd: np.ndarray, ad: np
             # 1 - phi takes its series -u·(1/2 + u/6 + u²/24).  As |u| is at
             # least min|Δ|·min|A|, that subset is looked for only when this
             # bound does not rule it out.
-            np.subtract(1.0, phi_blk, out=du_blk)
+            np.subtract(1.0, phi_blk, out=du)
             if not np.abs(dd[blk]).min() * np.abs(ad).min() >= 1e-4:
                 u = dd[blk, ..., None] * ad
                 small = np.abs(u) < 1e-4
                 u_small = u[small]
-                du_blk[small] = -u_small * (0.5 + u_small * (1.0 / 6.0 + u_small / 24.0))
-            du_blk /= ad
-            du_blk *= xd[blk, ..., None]
-            du_blk *= bd[blk, :, None, :]
-            du_blk += states
-            du_blk *= dh
-            np.einsum("btds,ds->btd", du_blk, ad, out=d_delta[blk])
+                du[small] = -u_small * (0.5 + u_small * (1.0 / 6.0 + u_small / 24.0))
+            du /= ad
+            du *= xd[blk, ..., None]
+            du *= bd[blk, :, None, :]
+            du += states
+            du *= dh
+            np.einsum("btds,ds->btd", du, ad, out=d_delta[blk])
+            # du·Δ: the products d_a sums over (batch, token).
+            du *= dd[blk, ..., None]
             # dh·phi is the gradient of the drive phi·Δ·B·x.
             dh *= phi_blk
             s = np.matmul(dh, bd[blk, ..., None])[..., 0]
             d_delta[blk] += s * xd[blk]
-            np.matmul(dx[blk, :, None, :], dh, out=d_b[blk, :, None, :])
+            np.matmul(dx[:, :, None, :], dh, out=d_b[blk, :, None, :])
             np.multiply(s, dd[blk], out=d_x[blk])
 
-        _each(rule_block, blocks)
-        # One reduction over every (batch, token): per-block partial sums
-        # would change d_a in its last digits.  du is the rule's one
-        # full-size array.
-        d_a = np.einsum("btds,btd->ds", du, dd)
+        def add_du(w, blk):
+            _add_running(d_a, scratch[w, 4, : blk.stop - blk.start], (0, 1))
+
+        # d_a sums du·Δ over every (batch, token); the blocks add theirs in
+        # block order, with the bits of one einsum over a full-size du.
+        _each(rule_block, blocks, then=add_du)
         return d_x, d_delta, d_b, d_c, d_a
 
     return y, grads
@@ -459,7 +486,9 @@ def cross_gate(h1: Tensor, h2: Tensor, gate: Tensor) -> Tensor:
     The rule repeats the rules of that chain of silu, mul and add nodes in
     the order the chain ran them.  Each input reaches the output twice, so
     the node lists it twice, each contribution where the chain's rules
-    produced it, and the tape sums them as it did for the chain.
+    produced it, and the tape sums them as it did for the chain.  The node
+    keeps the two sigmoids; the rule rebuilds both products silu(h1)·h2 and
+    silu(h2)·h1 from them.
     """
     if not h1.shape == h2.shape == gate.shape:
         raise ShapeError(f"cross_gate shapes disagree: {h1.shape}, {h2.shape}, {gate.shape}")
@@ -467,14 +496,17 @@ def cross_gate(h1: Tensor, h2: Tensor, gate: Tensor) -> Tensor:
         raise TypeError("cross_gate is defined for real tensors only")
     a, b, gd = h1.data, h2.data, gate.data
     sig_1 = _sigmoid(a)
-    gated_1 = a * sig_1 * b
+    out_data = a * sig_1 * b
+    out_data *= gd
     sig_2 = _sigmoid(b)
     gated_2 = b * sig_2 * a
-    out_data = gated_1 * gd
-    out_data += gated_2 * gd
+    gated_2 *= gd
+    out_data += gated_2
     out = Tensor(out_data)
 
     def rule(gs):
+        gated_1 = a * sig_1 * b
+        gated_2 = b * sig_2 * a
         g_gated = gs[0] * gd
         return (
             gs[0] * gated_2,

@@ -8,7 +8,10 @@ input several contributions (``layer_norm``'s x, through the centring and
 the mean), the node lists that input once per contribution, in the order
 the chain's rules ran, and returns the contributions apart: the tape then
 adds them to whatever the input's other consumers sent, as it did for the
-chain.
+chain.  A node keeps its inputs, its output, and only those intermediates
+that cost a transcendental or a matmul to rebuild; its rule rebuilds the
+rest with the forward's own ops, in the forward's order, so the bits stay
+the same.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     ``x`` is [..., tokens, dim]; ``kernel`` is [k, dim] with the LAST kernel
     row multiplying the current token, so position t sees tokens
     t−k+1 .. t and never the future.  Positions before the start read zeros.
+    The node keeps nothing beyond its inputs and output: the rule rebuilds
+    the zero-padded input from x.
     """
     if x.is_complex or kernel.is_complex or (bias is not None and bias.is_complex):
         raise TypeError("causal_conv1d is defined for real tensors only")
@@ -50,8 +55,13 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
     if x.shape[-1] != dim:
         raise ShapeError(f"kernel dim {dim} does not match input dim {x.shape[-1]}")
     n_tokens = x.shape[-2]
-    padded = np.zeros(x.shape[:-2] + (n_tokens + k - 1, dim))
-    padded[..., k - 1 :, :] = x.data
+
+    def pad():
+        padded = np.zeros(x.shape[:-2] + (n_tokens + k - 1, dim))
+        padded[..., k - 1 :, :] = x.data
+        return padded
+
+    padded = pad()
     kd = kernel.data
     # Window i is padded[..., i : i + n_tokens, :]; it multiplies kernel row i.
     out_data = padded[..., :n_tokens, :] * kd[0:1]
@@ -72,6 +82,7 @@ def causal_conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tens
             i = k - 1 - s
             gx[..., : n_tokens - s, :] += np.multiply(g[..., s:, :], kd[i : i + 1], out=part[..., s:, :])
         gk = np.empty((k, dim))
+        padded = pad()
         for i in range(k):
             gk[i : i + 1] = _unbroadcast(g * padded[..., i : i + n_tokens, :], (1, dim))
         if k > 1:
@@ -90,7 +101,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """Normalize over the last axis to zero mean / unit variance, then affine.
 
     x is listed twice, for its contributions through the centring and
-    through the mean.
+    through the mean.  The node keeps the mean and the standard deviation,
+    one value per row; the rule rebuilds the centred and scaled x from them.
     """
     if eps <= 0:
         raise ShapeError("layer_norm eps must be positive")
@@ -100,8 +112,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mean = xd.mean(axis=-1, keepdims=True)
     centered = xd - mean
     sd = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    scale = centered / sd
-    out_data = scale * gamma.data
+    out_data = centered / sd
+    out_data *= gamma.data
     out_data += beta.data
     out = Tensor(out_data)
     # The gradient of a mean over the last axis spreads this share to each entry.
@@ -109,6 +121,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def rule(gs):
         g = gs[0]
+        centered = xd - mean
+        scale = centered / sd
         g_beta = _unbroadcast(g, beta.shape)
         g_gamma = _unbroadcast(g * scale, gamma.shape)
         g_scale = g * gamma.data

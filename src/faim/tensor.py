@@ -23,6 +23,15 @@ COMPLEX = np.complex128
 _REAL_DTYPE = np.dtype(REAL)
 _COMPLEX_DTYPE = np.dtype(COMPLEX)
 
+# Byte budget of one row block, sized to stay in a typical L2 cache.  The
+# taped scan (imb._scan) fills and differentiates its [rows, Z, dim, state]
+# arrays this many bytes at a time, one block per thread at once;
+# training.row_block sizes tape-free forwards from it; and _matmul_grads
+# forms a batched weight gradient's per-row products in chunks of it.
+# Larger blocks stream every op through main memory; blocks of one or two
+# rows pay per-op overhead instead.
+ROW_BLOCK_BYTES = 2**20
+
 # ---------------------------------------------------------------------------
 # Tape
 # ---------------------------------------------------------------------------
@@ -230,10 +239,39 @@ def _check_matmul_operands(name: str, a: Tensor, b: Tensor):
         raise ShapeError(f"{name} operands must have at least 2 dimensions")
 
 
+def _add_running(total: np.ndarray, parts: np.ndarray, axes) -> None:
+    """total += the sum of parts over its leading ``axes``, in place.
+
+    numpy sums over leading axes one slab at a time, in memory order,
+    starting from +0.0, as einsum does.  Adding total to the first slab
+    first therefore continues that sum: a running total that starts as
+    +0.0 has, after several calls, the bits of one sum over all their
+    slabs.  Such a total is never -0.0 (x + y is -0.0 only when both are),
+    so adding it gives the first slab no sign it would not have had.  parts
+    is overwritten.
+    """
+    parts[(0,) * len(axes)] += total
+    np.add.reduce(parts, axis=axes, out=total)
+
+
 def _matmul_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of a @ b with respect to the arrays a and b."""
+    """Gradients of a @ b with respect to the arrays a and b.
+
+    For a 3-D a against a 2-D b, b's gradient sums one [in, out] product per
+    row of a.  Those products are formed at most ROW_BLOCK_BYTES at a time
+    and summed into a running total, with the bits of one sum over every
+    row's product; a batch that fits one chunk takes the one sum directly.
+    """
     ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
-    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+    rows = max(1, ROW_BLOCK_BYTES // (b.size * 8))
+    if a.ndim != 3 or b.ndim != 2 or len(a) <= rows:
+        return ga, _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+    gb = np.zeros(b.shape)
+    chunk = np.empty((rows,) + b.shape)
+    for r0 in range(0, len(a), rows):
+        part = chunk[: min(rows, len(a) - r0)]
+        np.matmul(np.swapaxes(a[r0 : r0 + rows], -1, -2), g[r0 : r0 + rows], out=part)
+        _add_running(gb, part, (0,))
     return ga, gb
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import imb
+from . import tensor
 from .data import SeriesDataset, split_dataset
 from .errors import ConfigError, InputError, NonFiniteError, ShapeError
 from .metrics import accuracy_and_macro_f1
@@ -185,9 +185,9 @@ class TrainReport:
 def row_block(model: FaimModel) -> int:
     """Samples per tape-free forward that keep the working set cache-sized:
     a sample costs 16 bytes per (channel, patch, dim), the complex128
-    spectrum of its tokens, against ``imb.ROW_BLOCK_BYTES``."""
+    spectrum of its tokens, against ``tensor.ROW_BLOCK_BYTES``."""
     per_sample = model.n_channels * model.n_patches * model.config.embed_dim * 16
-    return max(1, imb.ROW_BLOCK_BYTES // per_sample)
+    return max(1, tensor.ROW_BLOCK_BYTES // per_sample)
 
 
 def _logits(model: FaimModel, x: np.ndarray, batch_size: int) -> np.ndarray:
@@ -227,8 +227,8 @@ def _check_loss(loss: float, stage: str, epoch: int, step: int) -> None:
 
 def _check_parameters(model: FaimModel, stage: str, epoch: int, step: int) -> None:
     """Raise if any parameter holds a non-finite value after ``step``."""
-    for name, tensor in model.named_parameters():
-        if not np.isfinite(tensor.data).all():
+    for name, param in model.named_parameters():
+        if not np.isfinite(param.data).all():
             raise NonFiniteError(
                 f"{stage} epoch {epoch} step {step}: parameter {name} holds a non-finite value"
             )

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from faim import imb
+from faim import tensor
 from faim.errors import ConfigError, InputError, ShapeError
 from faim.model import (
     CONFIG_SECTION,
@@ -176,7 +176,7 @@ class TestForward:
         row_bytes = model.n_patches * model.config.embed_dim * model.config.ssm_state * 8
 
         def run(rows):
-            monkeypatch.setattr(imb, "ROW_BLOCK_BYTES", rows * row_bytes)
+            monkeypatch.setattr(tensor, "ROW_BLOCK_BYTES", rows * row_bytes)
             with Tape() as tape:
                 logits, _ = classify_batch(model, batch)
                 loss = tsum(mul(logits, weights))

@@ -5,6 +5,8 @@ The chains are built here from the primitives that remain in faim.tensor,
 exactly as the blocks used to compose them.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -299,3 +301,44 @@ def test_fused_op_is_bitwise_equal_to_its_chain_when_inputs_are_shared(name, fus
 def test_wrong_dtype_rejected(op, args):
     with pytest.raises(TypeError):
         op(*[Tensor(a) for a in args])
+
+
+# ---------------------------------------------------------------------------
+# what a taped forward keeps for its rule
+# ---------------------------------------------------------------------------
+
+# Default geometry: 32 samples of 6 channels, 16 tokens, dim 64.
+ROWS, TOKENS, DIM = 192, 16, 64
+# Room for the node, the rule's closure and the output's Tensor.
+SLACK = 64 * 1024
+
+
+def _kept_case(name):
+    """The op, its inputs, and the bytes its docstring says it keeps."""
+    rng = np.random.default_rng(5)
+    x, h2, gate = (rng.normal(size=(ROWS, TOKENS, DIM)) for _ in range(3))
+    per_row_token = ROWS * TOKENS * 8
+    if name == "layer_norm":  # mean and sd
+        return layer_norm, [x, np.ones(DIM), np.zeros(DIM)], 2 * per_row_token
+    if name == "causal_conv1d":  # nothing
+        return causal_conv1d, [x, rng.normal(size=(4, DIM)), np.zeros(DIM)], 0
+    if name == "cross_gate":  # the two sigmoids
+        return cross_gate, [x, h2, gate], 2 * x.nbytes
+    # psi_apply: the hidden activations and the complex filter values
+    bins = np.fft.rfft(x, axis=-2)
+    weights = [rng.normal(size=(2 * DIM, DIM)), np.zeros(DIM), rng.normal(size=(DIM, 2 * DIM)), np.zeros(2 * DIM)]
+    return apply_psi, [bins] + weights, bins.size * 8 + bins.nbytes
+
+
+@pytest.mark.parametrize("name", ["layer_norm", "causal_conv1d", "psi_apply", "cross_gate"])
+def test_taped_forward_holds_its_output_and_what_it_keeps(name):
+    op, arrays, kept = _kept_case(name)
+    leaves = [parameter(a) for a in arrays]
+    tracemalloc.start()
+    try:
+        with Tape():
+            out = op(*leaves)
+            held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= out.data.nbytes + kept + SLACK, (held - out.data.nbytes - kept) / 2**20

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from faim import tensor
 from faim.errors import ShapeError
 from faim.gradcheck import finite_diff_check
 from faim.nn import causal_conv1d, layer_norm
 from faim.tensor import (
     Tape,
     Tensor,
+    _matmul_grads,
+    _unbroadcast,
     add,
     backward,
     concat,
@@ -270,3 +273,38 @@ class TestFiniteDiffContract:
         rng = np.random.default_rng(5)
         err = finite_diff_check(lambda x: tsum(tsin(x)), Tensor(rng.normal(size=(6,))), eps=1e-5)
         assert err < 1e-6
+
+
+class TestMatmulGradChunks:
+    """A 3-D a against a 2-D weight: the weight's gradient sums one product
+    per row of a, in chunks of at most tensor.ROW_BLOCK_BYTES, with the bits
+    of one sum over every row's product."""
+
+    IN, OUT, TOKENS = 3, 4, 5
+
+    def _arrays(self, rows):
+        rng = np.random.default_rng(rows)
+        a = rng.normal(size=(rows, self.TOKENS, self.IN))
+        g = np.abs(rng.normal(size=(rows, self.TOKENS, self.OUT))) + 0.1
+        # every product a·g that feeds this row of b's gradient is -0.0
+        a[..., 1] = -0.0
+        b = rng.normal(size=(self.IN, self.OUT))
+        return g, a, b
+
+    @pytest.mark.parametrize("rows", [3, 9, 11])  # one chunk, three, and three plus a remainder
+    def test_chunked_sum_is_bitwise_equal_to_one_sum(self, monkeypatch, rows):
+        monkeypatch.setattr(tensor, "ROW_BLOCK_BYTES", 3 * self.IN * self.OUT * 8)
+        g, a, b = self._arrays(rows)
+        chunks = []
+        add_running = tensor._add_running
+
+        def counted(total, parts, axes):
+            chunks.append(len(parts))
+            add_running(total, parts, axes)
+
+        monkeypatch.setattr(tensor, "_add_running", counted)
+        ga, gb = _matmul_grads(g, a, b)
+        assert chunks == ([] if rows == 3 else [3] * (rows // 3) + [rows % 3] * (rows % 3 > 0))
+        assert ga.tobytes() == _unbroadcast(g @ b.T, a.shape).tobytes()
+        assert gb.tobytes() == _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape).tobytes()
+        assert gb.shape == b.shape
