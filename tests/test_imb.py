@@ -318,7 +318,7 @@ class TestSsmScan:
 
 
 class TestBlockedScan:
-    """The taped scan runs over row blocks sized from imb.ROW_BLOCK_BYTES,
+    """The taped scan runs over row blocks sized from tensor.ROW_BLOCK_BYTES,
     on imb._WORKERS threads: the caller and imb._POOL's helpers.  Every
     block size and thread count must give the bits of one whole-batch pass
     on one thread."""
