@@ -50,21 +50,6 @@ class AfbParams:
     tau: float = 0.02
 
 
-@dataclass
-class LayerActivations:
-    """Intermediates of one afb_forward call, retained for inspection."""
-
-    spectrum: Spectrum = None
-    mask_high: Tensor = None
-    mask_low: Tensor = None
-    high: Spectrum = None
-    low: Spectrum = None
-    branch_global: Spectrum = None
-    branch_high: Spectrum = None
-    branch_low: Spectrum = None
-    integrated: Spectrum = None
-
-
 def init_psi_filter(dim: int, rng: CounterRng) -> PsiFilter:
     """Random filter with a hidden width of dim.  Each weight matrix is
     drawn at std 1/sqrt(fan_in) and the biases are zero, so the filter's
@@ -155,28 +140,22 @@ def afb_forward(
     params: AfbParams,
     use_high: bool = True,
     use_low: bool = True,
-) -> tuple[Tensor, LayerActivations]:
+) -> tuple[Tensor, None]:
     """Full adaptive filtering pass; output shape equals input shape.
 
     ``use_high`` / ``use_low`` drop the corresponding local branch entirely
-    (the ablation variants); the global branch always participates.
+    (the ablation variants): its band mask is not built, so its threshold
+    takes no part in the forward.  The global branch always participates.
+    The forward keeps no intermediates beyond what a tape records; the
+    second element is always None, so callers that unpack a pair keep
+    working.
     """
-    acts = LayerActivations()
-    acts.spectrum = rfft(tokens)
-    acts.branch_global = psi_apply(params.psi_global, acts.spectrum)
-    integrated_bins = acts.branch_global.bins
-
-    if use_high or use_low:
-        acts.mask_high = band_mask(acts.spectrum, params.theta_high, KEEP_BELOW, params.tau)
-        acts.mask_low = band_mask(acts.spectrum, params.theta_low, KEEP_ABOVE, params.tau)
-        acts.high = apply_mask(acts.spectrum, acts.mask_high)
-        acts.low = apply_mask(acts.spectrum, acts.mask_low)
+    spectrum = rfft(tokens)
+    integrated = psi_apply(params.psi_global, spectrum).bins
     if use_high:
-        acts.branch_high = psi_apply(params.psi_high, acts.high)
-        integrated_bins = add(integrated_bins, acts.branch_high.bins)
+        mask = band_mask(spectrum, params.theta_high, KEEP_BELOW, params.tau)
+        integrated = add(integrated, psi_apply(params.psi_high, apply_mask(spectrum, mask)).bins)
     if use_low:
-        acts.branch_low = psi_apply(params.psi_low, acts.low)
-        integrated_bins = add(integrated_bins, acts.branch_low.bins)
-
-    acts.integrated = Spectrum(integrated_bins, acts.spectrum.n_time)
-    return irfft(acts.integrated), acts
+        mask = band_mask(spectrum, params.theta_low, KEEP_ABOVE, params.tau)
+        integrated = add(integrated, psi_apply(params.psi_low, apply_mask(spectrum, mask)).bins)
+    return irfft(Spectrum(integrated, spectrum.n_time)), None

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .afb import AfbParams, LayerActivations, afb_forward, init_afb_params
+from .afb import AfbParams, afb_forward, init_afb_params
 from .data import open_input, pad_tail, write_atomic
 from .errors import ConfigError, InputError, ShapeError
 from .imb import ImbParams, imb_forward, init_imb_params
@@ -283,14 +283,13 @@ def embed(patches, model: FaimModel) -> Tensor:
     return add(projected, narrow(model.pos_emb, 0, 0, z))
 
 
-def _run_layers(tokens: Tensor, model: FaimModel) -> tuple[Tensor, list[LayerActivations]]:
+def _run_layers(tokens: Tensor, model: FaimModel) -> Tensor:
     variant = model.config.variant
-    acts: list[LayerActivations] = []
     for layer in model.layers:
         if variant == "no_afb":
-            u, afb_acts = tokens, None
+            u = tokens
         else:
-            u, afb_acts = afb_forward(
+            u, _ = afb_forward(
                 tokens,
                 layer.afb,
                 use_high=variant not in ("no_hf", "no_hf_lf"),
@@ -298,8 +297,7 @@ def _run_layers(tokens: Tensor, model: FaimModel) -> tuple[Tensor, list[LayerAct
             )
         v = u if variant == "no_imb" else imb_forward(u, layer.imb)
         tokens = layer_norm(add(v, tokens), layer.ln_gamma, layer.ln_beta)
-        acts.append(afb_acts)
-    return tokens, acts
+    return tokens
 
 
 def _check_channels(x: np.ndarray, model: FaimModel):
@@ -309,8 +307,12 @@ def _check_channels(x: np.ndarray, model: FaimModel):
         )
 
 
-def classify_batch(model: FaimModel, x) -> tuple[Tensor, list[LayerActivations]]:
-    """Logits for a batch [B, channels, T] -> Tensor[B, n_classes]."""
+def classify_batch(model: FaimModel, x) -> tuple[Tensor, None]:
+    """Logits for a batch [B, channels, T] -> Tensor[B, n_classes].
+
+    The second element is always None, so callers that unpack a pair keep
+    working.
+    """
     x = np.asarray(x, dtype=np.float64)
     _check_channels(x, model)
     n_batch, n_chan = x.shape[0], x.shape[1]
@@ -318,36 +320,34 @@ def classify_batch(model: FaimModel, x) -> tuple[Tensor, list[LayerActivations]]
     z = patches.shape[-2]
     folded = patches.reshape(n_batch * n_chan, z, model.config.patch_len)
     tokens = embed(folded, model)
-    tokens, acts = _run_layers(tokens, model)
+    tokens = _run_layers(tokens, model)
     pooled = tmean(tokens, axis=1)
     pooled = tmean(reshape(pooled, (n_batch, n_chan, model.config.embed_dim)), axis=1)
-    return linear(pooled, model.cls_w, model.cls_b), acts
+    return linear(pooled, model.cls_w, model.cls_b), None
 
 
-def faim_forward(x, model: FaimModel) -> tuple[Tensor, list[LayerActivations]]:
+def faim_forward(x, model: FaimModel) -> Tensor:
     """Logits for one sample [channels, T] -> Tensor[n_classes]."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"faim_forward expects [channels, T], got shape {x.shape}")
-    logits, acts = classify_batch(model, x[None])
-    return reshape(logits, (model.n_classes,)), acts
+    logits, _ = classify_batch(model, x[None])
+    return reshape(logits, (model.n_classes,))
 
 
 def reconstruct_forward(x, mask, model: FaimModel) -> Tensor:
-    """Reconstructed patches [..., channels, Z, patch_len] from masked input.
+    """Reconstructed patches [B, channels, Z, patch_len] from a masked batch
+    [B, channels, T].
 
-    ``mask`` is 0/1 per (channel, patch); masked patches are replaced by the
-    learnable mask token before embedding.  All patches are returned; the
-    loss applies the mask weights.
+    ``mask`` is 0/1 per (sample, channel, patch); masked patches are
+    replaced by the learnable mask token before embedding.  All patches are
+    returned; the loss applies the mask weights.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
+    if x.ndim != 3:
+        raise ShapeError(f"reconstruct_forward expects [B, channels, T], got shape {x.shape}")
     _check_channels(x, model)
     mask = np.asarray(mask, dtype=np.float64)
-    if single and mask.ndim == 2:
-        mask = mask[None]
     b = model.config.patch_len
     patches = patchify(x, b, model.config.patch_stride)
     if mask.shape != patches.shape[:-1]:
@@ -358,18 +358,9 @@ def reconstruct_forward(x, mask, model: FaimModel) -> Tensor:
     masked = add(kept, replaced)
     n_batch, n_chan, z = patches.shape[0], patches.shape[1], patches.shape[2]
     tokens = embed(reshape(masked, (n_batch * n_chan, z, b)), model)
-    tokens, _ = _run_layers(tokens, model)
+    tokens = _run_layers(tokens, model)
     recon = linear(tokens, model.recon_w, model.recon_b)
-    recon = reshape(recon, (n_batch, n_chan, z, b))
-    if single:
-        recon = reshape(recon, (n_chan, z, b))
-    return recon
-
-
-def reference_patches(x, model: FaimModel) -> np.ndarray:
-    """Ground-truth patch values the reconstruction loss compares against."""
-    x = np.asarray(x, dtype=np.float64)
-    return patchify(x, model.config.patch_len, model.config.patch_stride)
+    return reshape(recon, (n_batch, n_chan, z, b))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from .model import (
     FaimModel,
     build_model,
     classify_batch,
+    patchify,
     reconstruct_forward,
-    reference_patches,
     save_checkpoint,
 )
 from .optim import AdamWState, adamw_step
@@ -270,7 +270,7 @@ def pretrain(
             )
             with Tape() as tape:
                 recon = reconstruct_forward(xb, lam, model)
-                loss = masked_mse(reference_patches(xb, model), recon, lam)
+                loss = masked_mse(patchify(xb, config.patch_len, config.patch_stride), recon, lam)
             _check_loss(loss.item(), "pretrain", epoch, step + 1)
             grads = backward(tape, loss)
             adamw_step(model.values, *model.gradient(grads), opt)

@@ -1,4 +1,5 @@
-"""Memory census of one default six-channel finetune step.
+"""Memory census of one default six-channel finetune step, and of
+tape-free evaluation.
 
 For batch 32 and batch 128, each in a fresh child process, it runs one
 untraced warm-up step and three more untraced steps, then one step under
@@ -11,6 +12,12 @@ tracemalloc, and prints:
   allocating function (the innermost frame inside ``src/faim``; a nested
   backward rule shows as ``op.rule``);
 - the backward's tracemalloc peak, counted from the start of the step.
+
+In a third child process it runs ``evaluate`` over 256 six-channel samples
+at batch 256 with no tape, as the ``infer-motion`` benchmark does, and
+prints ``ru_maxrss`` after it, then the tracemalloc peak of one of its row
+blocks (one tape-free ``classify_batch`` of ``row_block(model)`` samples),
+in MiB and in token spectra of that block.
 
 Not collected by pytest; run it from the repository root with
 
@@ -29,9 +36,11 @@ from faim.data import make_synthetic_motion_dataset, znormalize
 from faim.model import FaimConfig, build_model, classify_batch
 from faim.optim import AdamWState, adamw_step
 from faim.tensor import Tape, backward
-from faim.training import batch_label_smoothed_ce
+from faim.training import batch_label_smoothed_ce, evaluate, row_block
 
 BATCHES = (32, 128)
+INFER = "infer"
+INFER_SAMPLES = 256
 MIB = 2**20
 SHOWN_BYTES = 0.05 * MIB  # functions holding less are summed into one line
 SRC = Path(faim.__file__).resolve().parent
@@ -121,13 +130,37 @@ def census(batch: int) -> None:
     print(f"  backward peak: {peak / MIB:.1f} MiB")
 
 
+def inference_census() -> None:
+    corpus = znormalize(
+        make_synthetic_motion_dataset(INFER_SAMPLES // 4, n_channels=6, t=128, n_classes=4, snr_sigma=0.5, seed=2)
+    )
+    model = build_model(FaimConfig(seed=2), corpus.n_classes, corpus.n_channels, corpus.series_len)
+    evaluate(model, corpus, INFER_SAMPLES)
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+    rows = row_block(model)
+    block = corpus.x[:rows]
+    # One token spectrum of the block: complex128 per (row, bin, dim).
+    spectrum = rows * corpus.n_channels * (model.n_patches // 2 + 1) * model.config.embed_dim * 16
+    tracemalloc.start()
+    classify_batch(model, block)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(f"evaluate: {len(corpus)} rows of {corpus.n_channels} channels, {corpus.series_len} steps, no tape")
+    print(f"  ru_maxrss: {maxrss / 1024:.0f} MiB")
+    print(f"  one row block of {rows} samples peaks at {peak / MIB:.2f} MiB ({peak / spectrum:.1f} token spectra)")
+
+
 def main() -> None:
     if len(sys.argv) > 1:
-        census(int(sys.argv[1]))
+        if sys.argv[1] == INFER:
+            inference_census()
+        else:
+            census(int(sys.argv[1]))
         return
-    for batch in BATCHES:
+    for arg in (*map(str, BATCHES), INFER):
         sys.stdout.flush()
-        subprocess.run([sys.executable, __file__, str(batch)], check=True)
+        subprocess.run([sys.executable, __file__, arg], check=True)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,16 @@ from faim.afb import (
 from faim.errors import ShapeError
 from faim.gradcheck import finite_diff_check
 from faim.rng import CounterRng
-from faim.spectral import Spectrum, circular_convolve, irfft, rfft
+from faim.spectral import (
+    KEEP_ABOVE,
+    KEEP_BELOW,
+    Spectrum,
+    apply_mask,
+    band_mask,
+    circular_convolve,
+    irfft,
+    rfft,
+)
 from faim.tensor import Tape, Tensor, mul, tsum
 
 
@@ -42,6 +51,22 @@ def make_identity_psi(psi):
 def make_zero_psi(psi):
     psi.w2.data[:] = 0.0
     psi.b2.data[:] = 0.0
+
+
+def branch_spectra(x, params):
+    """The spectrum, both band masks and the three branch spectra of one
+    filtering pass, built from the spectral primitives."""
+    s = rfft(Tensor(x))
+    mask_high = band_mask(s, params.theta_high, KEEP_BELOW, params.tau)
+    mask_low = band_mask(s, params.theta_low, KEEP_ABOVE, params.tau)
+    return dict(
+        spectrum=s,
+        mask_high=mask_high,
+        mask_low=mask_low,
+        branch_global=psi_apply(params.psi_global, s),
+        branch_high=psi_apply(params.psi_high, apply_mask(s, mask_high)),
+        branch_low=psi_apply(params.psi_low, apply_mask(s, mask_low)),
+    )
 
 
 class TestPsiFilter:
@@ -107,10 +132,11 @@ class TestAfbForward:
         params = self._params(4)
         x = np.random.default_rng(0).normal(size=(8, 4))
         with Tape():
-            out, acts = afb_forward(Tensor(x), params)
+            out, _ = afb_forward(Tensor(x), params)
+            spectrum = rfft(Tensor(x))
         assert out.shape == (8, 4)
         assert not out.is_complex
-        assert acts.spectrum.bins.shape == (5, 4)
+        assert spectrum.bins.shape == (5, 4)
 
     def test_batched_matches_per_sample(self):
         params = self._params(3, seed=1)
@@ -151,8 +177,9 @@ class TestAfbForward:
         make_zero_psi(params.psi_global)
         make_identity_psi(params.psi_high)
         with Tape():
-            out, acts = afb_forward(Tensor(x), params, use_low=False)
-        np.testing.assert_allclose(acts.mask_high.data[1], 1.0, atol=1e-8)
+            out, _ = afb_forward(Tensor(x), params, use_low=False)
+            mask_high = branch_spectra(x, params)["mask_high"]
+        np.testing.assert_allclose(mask_high.data[1], 1.0, atol=1e-8)
         np.testing.assert_allclose(out.data, x, atol=1e-6)
 
     def test_cleared_masks_reduce_to_global_branch(self):
@@ -177,14 +204,15 @@ class TestAfbForward:
         )
         x = np.random.default_rng(4).normal(size=(8, 2))
         with Tape():
-            out, acts = afb_forward(Tensor(x), params)
+            out, _ = afb_forward(Tensor(x), params)
+            parts = branch_spectra(x, params)
         with Tape():
             only_global, _ = afb_forward(Tensor(x), params, use_high=False, use_low=False)
         np.testing.assert_allclose(
-            acts.branch_high.bins.data, acts.branch_global.bins.data, atol=1e-12
+            parts["branch_high"].bins.data, parts["branch_global"].bins.data, atol=1e-12
         )
         np.testing.assert_allclose(
-            acts.branch_low.bins.data, acts.branch_global.bins.data, atol=1e-12
+            parts["branch_low"].bins.data, parts["branch_global"].bins.data, atol=1e-12
         )
         np.testing.assert_allclose(out.data, 3.0 * only_global.data, atol=1e-9)
 
@@ -201,7 +229,8 @@ class TestAfbForward:
         params = self._params(dim, seed=5, theta_high=0.4, theta_low=0.1, tau=0.05)
         x = np.random.default_rng(5).normal(size=(z, dim))
         with Tape():
-            out, acts = afb_forward(Tensor(x), params)
+            out, _ = afb_forward(Tensor(x), params)
+            parts = branch_spectra(x, params)
 
         s = np.fft.rfft(x, axis=0)
         f = np.arange(z // 2 + 1) / z
@@ -215,20 +244,41 @@ class TestAfbForward:
         )
         expected = np.fft.irfft(integrated, n=z, axis=0)
         np.testing.assert_allclose(out.data, expected, atol=1e-8)
-        np.testing.assert_allclose(acts.mask_high.data, m_hi[:, 0], atol=1e-12)
-        np.testing.assert_allclose(acts.mask_low.data, m_lo[:, 0], atol=1e-12)
+        np.testing.assert_allclose(parts["mask_high"].data, m_hi[:, 0], atol=1e-12)
+        np.testing.assert_allclose(parts["mask_low"].data, m_lo[:, 0], atol=1e-12)
 
     def test_branch_toggles_drop_terms(self):
         params = self._params(3, seed=6)
         x = np.random.default_rng(6).normal(size=(8, 3))
         with Tape():
-            _, acts_full = afb_forward(Tensor(x), params)
+            parts = branch_spectra(x, params)
         with Tape():
             out_no_hf, _ = afb_forward(Tensor(x), params, use_high=False)
-        expected = acts_full.branch_global.bins.data + acts_full.branch_low.bins.data
+        expected = parts["branch_global"].bins.data + parts["branch_low"].bins.data
         np.testing.assert_allclose(
             out_no_hf.data, np.fft.irfft(expected, n=8, axis=0), atol=1e-8
         )
+
+    def test_second_return_value_is_none(self):
+        params = self._params(2, seed=7)
+        x = np.random.default_rng(7).normal(size=(8, 2))
+        _, second = afb_forward(Tensor(x), params)
+        assert second is None
+        with Tape():
+            _, second = afb_forward(Tensor(x), params)
+        assert second is None
+
+    @pytest.mark.parametrize("dropped", ["use_high", "use_low"])
+    def test_dropped_branch_records_no_node_reading_its_threshold(self, dropped):
+        params = self._params(2, seed=8)
+        unused = params.theta_high if dropped == "use_high" else params.theta_low
+        used = params.theta_low if dropped == "use_high" else params.theta_high
+        x = np.random.default_rng(8).normal(size=(8, 2))
+        with Tape() as tape:
+            afb_forward(Tensor(x), params, **{dropped: False})
+        readers = [n for n in tape.nodes if any(t is unused for t in n.inputs)]
+        assert readers == []
+        assert any(t is used for n in tape.nodes for t in n.inputs)
 
 
 class TestAfbGradients:

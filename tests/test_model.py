@@ -1,6 +1,7 @@
 """Model assembly: patching, embedding, layer stack, heads, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from faim.model import (
     padded_length,
     patchify,
     reconstruct_forward,
-    reference_patches,
     save_checkpoint,
 )
 from faim.nn import layer_norm, linear
@@ -116,7 +116,7 @@ class TestEmbed:
 class TestForward:
     def test_single_class_head_shape(self):
         model = build_model(tiny_config(), 1, 3, 20)
-        logits, _ = faim_forward(np.random.default_rng(0).normal(size=(3, 20)), model)
+        logits = faim_forward(np.random.default_rng(0).normal(size=(3, 20)), model)
         assert logits.shape == (1,)
 
     def test_rank_contract(self):
@@ -132,10 +132,10 @@ class TestForward:
     def test_channel_permutation_invariance(self):
         model = build_model(tiny_config(), 2, 4, 16)
         x = np.random.default_rng(2).normal(size=(4, 16))
-        base, _ = faim_forward(x, model)
+        base = faim_forward(x, model)
         for perm_seed in range(3):
             perm = np.random.default_rng(perm_seed).permutation(4)
-            permuted, _ = faim_forward(x[perm], model)
+            permuted = faim_forward(x[perm], model)
             np.testing.assert_allclose(permuted.data, base.data, atol=1e-12)
 
     def test_channel_independence(self):
@@ -147,8 +147,8 @@ class TestForward:
         for (_, a), (_, b) in zip(model.named_parameters(), twin.named_parameters()):
             np.testing.assert_array_equal(a.data, b.data)
         x = np.random.default_rng(3).normal(size=(3, 16))
-        full, _ = faim_forward(x, model)
-        singles = [faim_forward(x[c : c + 1], twin)[0].data for c in range(3)]
+        full = faim_forward(x, model)
+        singles = [faim_forward(x[c : c + 1], twin).data for c in range(3)]
         np.testing.assert_allclose(full.data, np.mean(singles, axis=0), atol=1e-12)
 
     def test_batch_matches_per_sample(self):
@@ -157,8 +157,35 @@ class TestForward:
         logits, _ = classify_batch(model, batch)
         assert logits.shape == (5, 3)
         for i in range(5):
-            single, _ = faim_forward(batch[i], model)
+            single = faim_forward(batch[i], model)
             np.testing.assert_allclose(logits.data[i], single.data, atol=1e-10)
+
+    def test_forwards_return_no_intermediates(self):
+        model = build_model(tiny_config(), 2, 1, 16)
+        x = np.random.default_rng(9).normal(size=(2, 1, 16))
+        _, second = classify_batch(model, x)
+        assert second is None
+        with Tape():
+            _, second = classify_batch(model, x)
+        assert second is None
+        logits = faim_forward(x[0], model)
+        assert isinstance(logits, Tensor) and logits.shape == (2,)
+
+    def test_tape_free_block_peaks_under_16_token_spectra(self):
+        # One 10-sample evaluation row block at the default geometry: 6
+        # channels of 16 patches at dim 64, so one token spectrum is a
+        # [60, 9, 64] complex128 array.
+        model = build_model(FaimConfig(seed=0), 4, 6, 128)
+        x = np.random.default_rng(10).normal(size=(10, 6, 128))
+        classify_batch(model, x)  # fills the cached transform tables
+        spectrum_bytes = 10 * 6 * 9 * 64 * 16
+        tracemalloc.start()
+        try:
+            classify_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * spectrum_bytes, peak / spectrum_bytes
 
     def test_tape_free_forward_matches_taped(self):
         model = build_model(tiny_config(seed=2), 3, 2, 16)
@@ -197,7 +224,7 @@ class TestForward:
         outs = []
         for _ in range(2):
             model = build_model(tiny_config(seed=9), 2, 2, 16)
-            logits, _ = faim_forward(x, model)
+            logits = faim_forward(x, model)
             outs.append(logits.data)
         assert outs[0].tobytes() == outs[1].tobytes()
 
@@ -226,31 +253,36 @@ class TestForward:
 class TestReconstruct:
     def test_output_shape(self):
         model = build_model(tiny_config(), 2, 3, 18)
-        x = np.random.default_rng(0).normal(size=(3, 18))
+        x = np.random.default_rng(0).normal(size=(1, 3, 18))
         z = n_patches_for(18, 4, 4)
-        recon = reconstruct_forward(x, np.zeros((3, z)), model)
-        assert recon.shape == (3, z, 4)
+        recon = reconstruct_forward(x, np.zeros((1, 3, z)), model)
+        assert recon.shape == (1, 3, z, 4)
 
     def test_all_masked_output_ignores_input_values(self):
         model = build_model(tiny_config(), 2, 1, 16)
-        mask = np.ones((1, 4))
+        mask = np.ones((1, 1, 4))
         gen = np.random.default_rng(1)
-        a = reconstruct_forward(gen.normal(size=(1, 16)), mask, model)
-        b = reconstruct_forward(gen.normal(size=(1, 16)), mask, model)
+        a = reconstruct_forward(gen.normal(size=(1, 1, 16)), mask, model)
+        b = reconstruct_forward(gen.normal(size=(1, 1, 16)), mask, model)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_unmasked_input_changes_output(self):
         model = build_model(tiny_config(), 2, 1, 16)
-        mask = np.zeros((1, 4))
+        mask = np.zeros((1, 1, 4))
         gen = np.random.default_rng(2)
-        a = reconstruct_forward(gen.normal(size=(1, 16)), mask, model)
-        b = reconstruct_forward(gen.normal(size=(1, 16)), mask, model)
+        a = reconstruct_forward(gen.normal(size=(1, 1, 16)), mask, model)
+        b = reconstruct_forward(gen.normal(size=(1, 1, 16)), mask, model)
         assert np.max(np.abs(a.data - b.data)) > 1e-6
 
     def test_mask_grid_mismatch_rejected(self):
         model = build_model(tiny_config(), 2, 1, 16)
         with pytest.raises(ShapeError):
-            reconstruct_forward(np.zeros((1, 16)), np.zeros((1, 3)), model)
+            reconstruct_forward(np.zeros((1, 1, 16)), np.zeros((1, 1, 3)), model)
+
+    def test_unbatched_input_rejected(self):
+        model = build_model(tiny_config(), 2, 1, 16)
+        with pytest.raises(ShapeError, match="expects \\[B, channels, T\\]"):
+            reconstruct_forward(np.zeros((1, 16)), np.zeros((1, 4)), model)
 
     def test_batched_matches_single(self):
         model = build_model(tiny_config(), 2, 2, 16)
@@ -258,13 +290,8 @@ class TestReconstruct:
         mask = (np.random.default_rng(4).uniform(size=(3, 2, 4)) < 0.5).astype(float)
         batch = reconstruct_forward(xs, mask, model)
         for i in range(3):
-            single = reconstruct_forward(xs[i], mask[i], model)
-            np.testing.assert_allclose(batch.data[i], single.data, atol=1e-10)
-
-    def test_reference_patches_match_patchify(self):
-        model = build_model(tiny_config(), 2, 2, 18)
-        x = np.random.default_rng(5).normal(size=(2, 18))
-        np.testing.assert_array_equal(reference_patches(x, model), patchify(x, 4, 4))
+            single = reconstruct_forward(xs[i : i + 1], mask[i : i + 1], model)
+            np.testing.assert_allclose(batch.data[i], single.data[0], atol=1e-10)
 
 
 class TestVariants:
@@ -284,19 +311,19 @@ class TestVariants:
     def test_no_afb_ignores_afb_parameters(self):
         model = build_model(tiny_config(variant="no_afb"), 2, 1, 16)
         x = np.random.default_rng(1).normal(size=(1, 16))
-        before, _ = faim_forward(x, model)
+        before = faim_forward(x, model)
         model.layers[0].afb.theta_high.data += 10.0
         model.layers[0].afb.psi_global.w2.data[:] = 7.0
-        after, _ = faim_forward(x, model)
+        after = faim_forward(x, model)
         np.testing.assert_array_equal(before.data, after.data)
 
     def test_no_imb_ignores_imb_parameters(self):
         model = build_model(tiny_config(variant="no_imb"), 2, 1, 16)
         x = np.random.default_rng(2).normal(size=(1, 16))
-        before, _ = faim_forward(x, model)
+        before = faim_forward(x, model)
         model.layers[0].imb.gate_w.data[:] = 5.0
         model.layers[0].imb.out_w.data[:] = -3.0
-        after, _ = faim_forward(x, model)
+        after = faim_forward(x, model)
         np.testing.assert_array_equal(before.data, after.data)
 
     def test_variants_change_the_function(self):
@@ -304,7 +331,7 @@ class TestVariants:
         outputs = {}
         for variant in ("full", "no_afb", "no_hf", "no_imb"):
             model = build_model(tiny_config(variant=variant, seed=4), 2, 1, 16)
-            logits, _ = faim_forward(x, model)
+            logits = faim_forward(x, model)
             outputs[variant] = logits.data
         assert np.max(np.abs(outputs["full"] - outputs["no_afb"])) > 1e-9
         assert np.max(np.abs(outputs["full"] - outputs["no_hf"])) > 1e-9
@@ -389,8 +416,8 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded, _ = load_checkpoint(path)
         x = np.random.default_rng(1).normal(size=(2, 16))
-        a, _ = faim_forward(x, model)
-        b, _ = faim_forward(x, loaded)
+        a = faim_forward(x, model)
+        b = faim_forward(x, loaded)
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
