@@ -127,24 +127,12 @@ class FaimModel:
     cls_b: Tensor = None
     recon_w: Tensor = None
     recon_b: Tensor = None
-    # Every parameter's values, in named_parameters order; each parameter's
-    # ``data`` is a view into it.
+    # Every parameter's values, end to end in declaration order; each
+    # parameter's ``data`` is a view into it.
     values: np.ndarray = None
-
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """(attribute path, tensor) of every parameter, in declaration order."""
-        return list(_named_tensors(self))
-
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
-    def layout(self):
-        """(name, tensor, offset in ``values``) of every parameter: they lie
-        end to end in named_parameters order."""
-        start = 0
-        for name, tensor in self.named_parameters():
-            yield name, tensor, start
-            start += tensor.size
+    # (attribute path, tensor, slice of ``values``) of every parameter, in
+    # declaration order; built once with the model.
+    layout: list[tuple[str, Tensor, slice]] = field(default_factory=list)
 
     def gradient(self, grads: dict[Tensor, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """``backward``'s gradients laid out like ``values``, and the mask of
@@ -155,7 +143,7 @@ class FaimModel:
         grad, touched = self._gradient_buffers
         grad.fill(0.0)
         touched.fill(False)
-        for tensor, part in self._slices:
+        for _, tensor, part in self.layout:
             if tensor in grads:
                 grad[part] = grads[tensor].ravel()
                 touched[part] = True
@@ -164,12 +152,6 @@ class FaimModel:
     @functools.cached_property
     def _gradient_buffers(self) -> tuple[np.ndarray, np.ndarray]:
         return np.empty_like(self.values), np.empty(self.values.shape, dtype=bool)
-
-    @functools.cached_property
-    def _slices(self) -> list[tuple[Tensor, slice]]:
-        """Each parameter with its slice of ``values``; the parameters are
-        fixed when the model is built."""
-        return [(tensor, slice(start, start + tensor.size)) for _, tensor, start in self.layout()]
 
 
 def _named_tensors(value, prefix: str = ""):
@@ -248,9 +230,14 @@ def build_model(config: FaimConfig, n_classes: int, n_channels: int, series_len:
                 ln_beta=parameter(np.zeros(dim)),
             )
         )
-    model.values = np.concatenate([t.data.ravel() for t in model.parameters()])
-    for _, tensor, start in model.layout():
-        tensor.data = model.values[start : start + tensor.size].reshape(tensor.shape)
+    named = list(_named_tensors(model))
+    model.values = np.concatenate([t.data.ravel() for _, t in named])
+    start = 0
+    for name, tensor in named:
+        part = slice(start, start + tensor.size)
+        tensor.data = model.values[part].reshape(tensor.shape)
+        model.layout.append((name, tensor, part))
+        start = part.stop
     return model
 
 
@@ -300,10 +287,10 @@ def _run_layers(tokens: Tensor, model: FaimModel) -> Tensor:
     return tokens
 
 
-def _check_channels(x: np.ndarray, model: FaimModel):
-    if x.shape[-2] != model.n_channels:
-        raise InputError(
-            f"input has {x.shape[-2]} channels but the model was built for {model.n_channels}"
+def _check_batch(x: np.ndarray, model: FaimModel):
+    if x.ndim != 3 or x.shape[1] != model.n_channels:
+        raise ShapeError(
+            f"the model expects [B, channels, T] with {model.n_channels} channels, got shape {x.shape}"
         )
 
 
@@ -314,7 +301,7 @@ def classify_batch(model: FaimModel, x) -> tuple[Tensor, None]:
     working.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_channels(x, model)
+    _check_batch(x, model)
     n_batch, n_chan = x.shape[0], x.shape[1]
     patches = patchify(x, model.config.patch_len, model.config.patch_stride)
     z = patches.shape[-2]
@@ -344,9 +331,7 @@ def reconstruct_forward(x, mask, model: FaimModel) -> Tensor:
     returned; the loss applies the mask weights.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"reconstruct_forward expects [B, channels, T], got shape {x.shape}")
-    _check_channels(x, model)
+    _check_batch(x, model)
     mask = np.asarray(mask, dtype=np.float64)
     b = model.config.patch_len
     patches = patchify(x, b, model.config.patch_stride)
@@ -379,8 +364,8 @@ def save_checkpoint(model: FaimModel, path: str, meta: dict | None = None) -> No
     model state.
     """
     manifest = [
-        {"name": name, "shape": list(tensor.shape), "offset": start}
-        for name, tensor, start in model.layout()
+        {"name": name, "shape": list(tensor.shape), "offset": part.start}
+        for name, tensor, part in model.layout
     ]
     header = {
         "config": asdict(model.config),
@@ -414,27 +399,21 @@ def load_checkpoint(path: str) -> tuple[FaimModel, dict]:
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path} has an unreadable header: {type(exc).__name__}: {exc}") from exc
     model = build_model(config, *geometry)
-    by_name = dict(model.named_parameters())
-    in_file = {name for name, _, _ in manifest}
-    unknown = [name for name, _, _ in manifest if name not in by_name]
-    missing = [name for name in by_name if name not in in_file]
-    if unknown or missing:
+    expected = [(name, tensor.shape, part.start) for name, tensor, part in model.layout]
+    if len(manifest) != len(expected):
         raise InputError(
-            f"{path} parameter manifest does not match the rebuilt model "
-            f"(first unknown name: {next(iter(unknown), 'none')}; "
-            f"first missing name: {next(iter(missing), 'none')})"
+            f"{path} lists {len(manifest)} parameters; the rebuilt model has {len(expected)}"
         )
+    for i, (entry, want) in enumerate(zip(manifest, expected)):
+        if entry != want:
+            raise InputError(
+                f"{path} parameter manifest entry {i} is (name, shape, offset) {entry}; "
+                f"the rebuilt model expects {want}"
+            )
     n_values = model.values.size
     if len(raw) - blob_start != 8 * n_values:
         raise InputError(
             f"{path} holds {len(raw) - blob_start} parameter bytes; its manifest needs {8 * n_values}"
         )
-    values = np.frombuffer(raw, dtype=np.float64, offset=blob_start)
-    for name, shape, offset in manifest:
-        tensor = by_name[name]
-        if shape != tensor.data.shape:
-            raise ShapeError(f"checkpoint shape {shape} for {name} mismatches {tensor.data.shape}")
-        if not 0 <= offset <= n_values - tensor.data.size:
-            raise InputError(f"{path} places {name} outside its parameter blob")
-        tensor.data[...] = values[offset : offset + tensor.data.size].reshape(shape)
+    model.values[...] = np.frombuffer(raw, dtype=np.float64, offset=blob_start)
     return model, meta

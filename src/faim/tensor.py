@@ -550,39 +550,21 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     if loss.is_complex:
         raise TypeError("backward requires a real scalar loss")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones(loss.shape, dtype=REAL)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-    produced: set[int] = set()
-
+    # Tensors hash by identity.  An output's gradient is popped when its
+    # node runs, so the sweep leaves only tensors no node produced.
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones(loss.shape, dtype=REAL)}
     for node in reversed(tape.nodes):
-        gouts = []
-        any_grad = False
-        for o in node.outputs:
-            produced.add(id(o))
-            g = grads.pop(id(o), None)
-            holders.pop(id(o), None)
-            if g is not None:
-                any_grad = True
-            gouts.append(g)
-        if not any_grad:
+        gouts = tuple(grads.pop(o, None) for o in node.outputs)
+        if all(g is None for g in gouts):
             continue
-        contribs = node.rule(tuple(gouts))
-        for inp, gi in zip(node.inputs, contribs):
+        for inp, gi in zip(node.inputs, node.rule(gouts)):
             if gi is None:
                 continue
-            key = id(inp)
-            if key in grads:
-                grads[key] = grads[key] + gi
-            else:
-                grads[key] = gi
-                holders[key] = inp
+            g = grads.get(inp)
+            grads[inp] = gi if g is None else g + gi
 
-    result: dict[Tensor, np.ndarray] = {}
-    for key, g in grads.items():
-        leaf = holders[key]
-        if key in produced or not leaf.requires_grad:
-            continue
-        if g.shape != leaf.shape:
-            g = g.reshape(leaf.shape)
-        result[leaf] = g
-    return result
+    return {
+        leaf: g if g.shape == leaf.shape else g.reshape(leaf.shape)
+        for leaf, g in grads.items()
+        if leaf.requires_grad
+    }

@@ -227,11 +227,12 @@ def _check_loss(loss: float, stage: str, epoch: int, step: int) -> None:
 
 def _check_parameters(model: FaimModel, stage: str, epoch: int, step: int) -> None:
     """Raise if any parameter holds a non-finite value after ``step``."""
-    for name, param in model.named_parameters():
-        if not np.isfinite(param.data).all():
-            raise NonFiniteError(
-                f"{stage} epoch {epoch} step {step}: parameter {name} holds a non-finite value"
-            )
+    finite = np.isfinite(model.values)
+    if not finite.all():
+        name = next(name for name, _, part in model.layout if not finite[part].all())
+        raise NonFiniteError(
+            f"{stage} epoch {epoch} step {step}: parameter {name} holds a non-finite value"
+        )
 
 
 # ---------------------------------------------------------------------------

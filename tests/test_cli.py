@@ -322,7 +322,7 @@ class TestExitCodes:
     def test_non_finite_training_exits_1_before_writing_results(self, tmp_path, capsys):
         assert main(synth_args(tmp_path, "synth")) == 0
         model = build_model(FaimConfig(patch_len=4, embed_dim=8, n_layers=1, ssm_state=4), 2, 1, 16)
-        dict(model.named_parameters())["cls_w"].data[0] = np.nan
+        model.cls_w.data[0] = np.nan
         init = str(tmp_path / "nan.ckpt")
         save_checkpoint(model, init)
         capsys.readouterr()

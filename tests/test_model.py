@@ -1,6 +1,7 @@
 """Model assembly: patching, embedding, layer stack, heads, checkpoints."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -126,8 +127,14 @@ class TestForward:
 
     def test_channel_count_enforced(self):
         model = build_model(tiny_config(), 2, 3, 16)
-        with pytest.raises(InputError):
+        with pytest.raises(ShapeError, match="with 3 channels, got shape \\(1, 2, 16\\)"):
             faim_forward(np.zeros((2, 16)), model)
+
+    def test_unbatched_input_to_classify_batch_rejected(self):
+        # [channels, T] used to pass the channel check and fail inside numpy's reshape.
+        model = build_model(tiny_config(), 2, 3, 16)
+        with pytest.raises(ShapeError, match="expects \\[B, channels, T\\] with 3 channels"):
+            classify_batch(model, np.zeros((3, 16)))
 
     def test_channel_permutation_invariance(self):
         model = build_model(tiny_config(), 2, 4, 16)
@@ -144,7 +151,7 @@ class TestForward:
         config = tiny_config(seed=5)
         model = build_model(config, 2, 3, 16)
         twin = build_model(tiny_config(seed=5), 2, 1, 16)
-        for (_, a), (_, b) in zip(model.named_parameters(), twin.named_parameters()):
+        for (_, a, _), (_, b, _) in zip(model.layout, twin.layout):
             np.testing.assert_array_equal(a.data, b.data)
         x = np.random.default_rng(3).normal(size=(3, 16))
         full = faim_forward(x, model)
@@ -208,7 +215,7 @@ class TestForward:
                 logits, _ = classify_batch(model, batch)
                 loss = tsum(mul(logits, weights))
             grads = backward(tape, loss)
-            return logits.data, [grads[p] for p in model.parameters() if p in grads]
+            return logits.data, [grads[p] for _, p, _ in model.layout if p in grads]
 
         whole_logits, whole_grads = run(10)
         assert len(whole_grads) > 0
@@ -349,13 +356,14 @@ class TestVariants:
         grads = backward(tape, loss)
         grad, touched = model.gradient(grads)
         start = 0
-        for name, t in model.named_parameters():
+        for name, t, part in model.layout:
             end = start + t.size
+            assert part == slice(start, end), name
             if t in grads:
-                assert touched[start:end].all(), name
-                assert grad[start:end].tobytes() == grads[t].tobytes(), name
+                assert touched[part].all(), name
+                assert grad[part].tobytes() == grads[t].tobytes(), name
             else:
-                assert not touched[start:end].any() and not grad[start:end].any(), name
+                assert not touched[part].any() and not grad[part].any(), name
             start = end
         assert end == model.values.size
         assert not touched.all()  # the skipped filtering block got no gradient
@@ -392,14 +400,14 @@ class TestConfigRanges:
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         model = build_model(tiny_config(seed=3), 3, 2, 20)
-        for _, t in model.named_parameters():
+        for _, t, _ in model.layout:
             t.data += np.random.default_rng(0).normal(size=t.data.shape)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(model, path, meta={"label_map": {"a": 0}, "seed": 3})
         loaded, meta = load_checkpoint(path)
         assert meta == {"label_map": {"a": 0}, "seed": 3}
         assert loaded.n_classes == 3 and loaded.n_channels == 2
-        for (na, a), (nb, b) in zip(model.named_parameters(), loaded.named_parameters()):
+        for (na, a, _), (nb, b, _) in zip(model.layout, loaded.layout):
             assert na == nb
             assert a.data.tobytes() == b.data.tobytes(), na
 
@@ -427,25 +435,44 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     @staticmethod
-    def _rename_in_manifest(path, renames):
+    def _edit_manifest(path, edit):
+        """Rewrite the checkpoint at ``path`` with ``edit`` applied to its
+        manifest (the list of name, shape, offset entries)."""
         raw = path.read_bytes()
         header_len = int.from_bytes(raw[len(MAGIC) : len(MAGIC) + 8], "little")
         start = len(MAGIC) + 8
         header = json.loads(raw[start : start + header_len].decode())
-        for entry in header["params"]:
-            entry["name"] = renames.get(entry["name"], entry["name"])
+        edit(header["params"])
         encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         path.write_bytes(MAGIC + len(encoded).to_bytes(8, "little") + encoded + raw[start + header_len :])
+
+    @classmethod
+    def _rename_in_manifest(cls, path, renames):
+        def rename(entries):
+            for entry in entries:
+                entry["name"] = renames.get(entry["name"], entry["name"])
+
+        cls._edit_manifest(path, rename)
+
+    @staticmethod
+    def _entry_mismatch(path, index, got, want):
+        """The message of a manifest entry that differs from the model's layout."""
+        return re.escape(
+            f"{path} parameter manifest entry {index} is (name, shape, offset) {got}; "
+            f"the rebuilt model expects {want}"
+        )
 
     def test_tampered_manifest_rejected(self, tmp_path):
         model = build_model(tiny_config(seed=6), 2, 1, 16)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, str(path))
         self._rename_in_manifest(path, {"layers.0.imb.ssm_2.w_c": "no.such.parameter"})
-        with pytest.raises(
-            InputError,
-            match="first unknown name: no.such.parameter; first missing name: layers.0.imb.ssm_2.w_c",
-        ):
+        index, (_, tensor, part) = next(
+            (i, entry) for i, entry in enumerate(model.layout) if entry[0] == "layers.0.imb.ssm_2.w_c"
+        )
+        got = ("no.such.parameter", tensor.shape, part.start)
+        want = ("layers.0.imb.ssm_2.w_c", tensor.shape, part.start)
+        with pytest.raises(InputError, match=self._entry_mismatch(path, index, got, want)):
             load_checkpoint(str(path))
 
     def test_dotted_head_names_are_rejected_naming_the_first(self, tmp_path):
@@ -456,20 +483,50 @@ class TestCheckpoint:
         self._rename_in_manifest(
             path, {f"{head}_{p}": f"{head}.{p}" for head in ("embed", "cls", "recon") for p in "wb"}
         )
-        with pytest.raises(InputError, match="first unknown name: embed.w; first missing name: embed_w"):
+        message = self._entry_mismatch(path, 0, ("embed.w", (4, 8), 0), ("embed_w", (4, 8), 0))
+        with pytest.raises(InputError, match=message):
+            load_checkpoint(str(path))
+
+    def test_swapped_entries_are_rejected_naming_the_first(self, tmp_path):
+        # The blob is read in layout order, so a file whose manifest swaps two
+        # scalar names would otherwise load each threshold as the other.
+        model = build_model(tiny_config(seed=6), 2, 1, 16)
+        path = tmp_path / "swapped.ckpt"
+        save_checkpoint(model, str(path))
+        high, low = "layers.0.afb.theta_high", "layers.0.afb.theta_low"
+        self._rename_in_manifest(path, {high: low, low: high})
+        with pytest.raises(InputError, match=self._entry_mismatch(path, 4, (low, (), 76), (high, (), 76))):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, listed",
+        [
+            (lambda entries: entries.append(dict(entries[-1], name="extra")), 53),
+            (lambda entries: entries.pop(), 51),
+        ],
+        ids=["extra", "missing"],
+    )
+    def test_entry_count_mismatch_names_both_counts(self, tmp_path, edit, listed):
+        model = build_model(tiny_config(seed=6), 2, 1, 16)
+        assert len(model.layout) == 52
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path))
+        self._edit_manifest(path, edit)
+        message = re.escape(f"{path} lists {listed} parameters; the rebuilt model has 52")
+        with pytest.raises(InputError, match=message):
             load_checkpoint(str(path))
 
     def test_names_are_attribute_paths(self):
         model = build_model(tiny_config(n_layers=2), 2, 1, 16)
-        for name, tensor in model.named_parameters():
+        for name, tensor, _ in model.layout:
             node = model
             for part in name.split("."):
                 node = node[int(part)] if part.isdigit() else getattr(node, part)
             assert node is tensor, name
 
-    def test_named_parameters_are_unique_and_stable(self):
+    def test_layout_names_are_unique_and_stable(self):
         model = build_model(tiny_config(n_layers=2), 2, 1, 16)
-        names = [n for n, _ in model.named_parameters()]
+        names = [n for n, _, _ in model.layout]
         assert len(names) == len(set(names))
-        assert names == [n for n, _ in model.named_parameters()]
+        assert names == [n for n, _, _ in build_model(tiny_config(n_layers=2), 2, 1, 16).layout]
         assert "layers.1.afb.theta_high" in names

@@ -72,6 +72,23 @@ class TestBackwardBasics:
         grads = backward(tape, loss)
         assert x in grads and c not in grads
 
+    def test_result_holds_exactly_the_trainable_leaves_reached(self):
+        # Not the loss, nor an intermediate flagged by hand, nor a parameter
+        # whose node the loss does not read.
+        with Tape() as tape:
+            x = parameter(np.array([1.0, 2.0]))
+            w = parameter(np.array([3.0, 4.0]))
+            unused = parameter(np.array([5.0]))
+            h = mul(x, w)
+            h.requires_grad = True
+            mul(unused, unused)
+            loss = tsum(mul(h, Tensor(np.array([0.5, 0.5]))))
+            loss.requires_grad = True
+        grads = backward(tape, loss)
+        assert set(grads) == {x, w}
+        np.testing.assert_array_equal(grads[x], [1.5, 2.0])
+        np.testing.assert_array_equal(grads[w], [0.5, 1.0])
+
     def test_gradient_accumulates_across_uses(self):
         with Tape() as tape:
             x = parameter(np.array(2.0))

@@ -260,7 +260,7 @@ class TestPretrain:
         assert os.path.exists(path)
         loaded, meta = load_checkpoint(path)
         assert meta["seed"] == 0
-        for (_, a), (_, b) in zip(model.named_parameters(), loaded.named_parameters()):
+        for (_, a, _), (_, b, _) in zip(model.layout, loaded.layout):
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_zero_mask_ratio_gives_zero_loss_stream(self):
@@ -273,7 +273,7 @@ class TestPretrain:
         m1, r1 = pretrain(self._corpus(), config)
         m2, r2 = pretrain(self._corpus(), config)
         assert [r.loss for r in r1.rows] == [r.loss for r in r2.rows]
-        for (_, a), (_, b) in zip(m1.named_parameters(), m2.named_parameters()):
+        for (_, a, _), (_, b, _) in zip(m1.layout, m2.layout):
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_empty_dataset_rejected(self):
@@ -296,8 +296,9 @@ class TestParameterVector:
     @staticmethod
     def _assert_views(model):
         start = 0
-        for name, t in model.named_parameters():
+        for name, t, part in model.layout:
             end = start + t.size
+            assert part == slice(start, end), name
             assert np.shares_memory(t.data, model.values[start:end]), name
             start = end
         assert end == model.values.size
@@ -321,10 +322,10 @@ class TestFinetune:
         ds = toy_separable()
         config = tiny_config(lr=0.0, finetune_epochs=2)
         init = build_model(config, ds.n_classes, ds.n_channels, ds.series_len)
-        before = [t.data.copy() for t in init.parameters()]
+        before = [t.data.copy() for _, t, _ in init.layout]
         loss0, acc0, _ = evaluate(init, ds)
         model, report = finetune(ds, config, init=init, val_dataset=ds)
-        for t, b in zip(model.parameters(), before):
+        for (_, t, _), b in zip(model.layout, before):
             assert t.data.tobytes() == b.tobytes()
         assert all(r.accuracy == acc0 for r in report.rows if r.split == "val")
 
@@ -341,7 +342,7 @@ class TestFinetune:
         m1, r1 = finetune(ds, config)
         m2, r2 = finetune(ds, config)
         assert r1.to_csv() == r2.to_csv()
-        for (_, a), (_, b) in zip(m1.named_parameters(), m2.named_parameters()):
+        for (_, a, _), (_, b, _) in zip(m1.layout, m2.layout):
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_missing_class_warns(self):
@@ -408,7 +409,7 @@ class TestFinetuneInit:
 class TestNonFiniteTraining:
     def _nan_init(self, config, ds, name):
         model = build_model(config, ds.n_classes, ds.n_channels, ds.series_len)
-        dict(model.named_parameters())[name].data[0] = np.nan
+        next(t for n, t, _ in model.layout if n == name).data[0] = np.nan
         return model
 
     def test_nan_parameter_that_reaches_the_loss_stops_at_its_step(self, tmp_path):
