@@ -11,7 +11,9 @@ tracemalloc, and prints:
 - the bytes still held after the traced step's forward, in total and per
   allocating function (the innermost frame inside ``src/faim``; a nested
   backward rule shows as ``op.rule``);
-- the backward's tracemalloc peak, counted from the start of the step.
+- the backward's tracemalloc peak, counted from the start of the step, and
+  the node whose rule (with the tape's sums of that rule's gradients) set
+  it: its index in the tape, its op, and the bytes held when it started.
 
 In a third child process it runs ``evaluate`` over 256 six-channel samples
 at batch 256 with no tape, as the ``infer-motion`` benchmark does, and
@@ -74,6 +76,40 @@ def owner(traceback, spans) -> str:
     return "(outside src/faim)"
 
 
+def rule_name(rule) -> str:
+    """``module.function.rule`` of a backward rule, e.g. ``imb.ssm_scan.rule``."""
+    return f"{rule.__module__.rsplit('.', 1)[-1]}.{rule.__qualname__.replace('<locals>.', '')}"
+
+
+def backward_peak(tape, loss):
+    """Run backward under tracemalloc.  Returns the gradients, the peak,
+    the index of the node whose rule was running when the peak was reached
+    (None before the first rule), the bytes held when that rule started,
+    and every node's op name.  The tape's sums of a rule's gradients count
+    with that rule."""
+    ops = [rule_name(node.rule) for node in tape.nodes]
+    segments = []  # (peak, node index, held at its start)
+    current = [None, tracemalloc.get_traced_memory()[0]]
+
+    def close_segment():
+        segments.append((tracemalloc.get_traced_memory()[1], *current))
+        tracemalloc.reset_peak()
+
+    def wrapped(i, rule):
+        def run(gs):
+            close_segment()
+            current[:] = [i, tracemalloc.get_traced_memory()[0]]
+            return rule(gs)
+
+        return run
+
+    for i, node in enumerate(tape.nodes):
+        node.rule = wrapped(i, node.rule)
+    grads = backward(tape, loss)
+    close_segment()
+    return (grads, *max(segments, key=lambda seg: seg[0]), ops)
+
+
 def step(model, x, y, eps):
     with Tape() as tape:
         logits, _ = classify_batch(model, x)
@@ -107,8 +143,7 @@ def census(batch: int) -> None:
     held = tracemalloc.get_traced_memory()[0]
     snapshot = tracemalloc.take_snapshot()
     tracemalloc.reset_peak()
-    grads = backward(tape, loss)
-    peak = tracemalloc.get_traced_memory()[1]
+    grads, peak, at, entry, ops = backward_peak(tape, loss)
     tracemalloc.stop()
     del grads, tape, loss
 
@@ -128,6 +163,14 @@ def census(batch: int) -> None:
             rest += size
     print(f"    {rest / MIB:7.1f} MiB  (functions under {SHOWN_BYTES / MIB:.2f} MiB each)")
     print(f"  backward peak: {peak / MIB:.1f} MiB")
+    if at is None:
+        print("    before the first rule")
+    else:
+        same = [i for i, name in enumerate(ops) if name == ops[at]]
+        print(
+            f"    in the rule of node {at} of {len(ops)}: {ops[at]}, number {same.index(at) + 1} of {len(same)}"
+            f" in recording order; {entry / MIB:.1f} MiB were held when it started"
+        )
 
 
 def inference_census() -> None:

@@ -10,11 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from faim.afb import PsiFilter, psi_apply
+from faim.afb import AfbParams, PsiFilter, afb_forward
 from faim.gradcheck import finite_diff_check
 from faim.imb import cross_gate
 from faim.nn import causal_conv1d, layer_norm, linear
-from faim.spectral import KEEP_ABOVE, KEEP_BELOW, Spectrum, apply_mask, band_mask
+from faim.spectral import KEEP_ABOVE, KEEP_BELOW, Spectrum, apply_mask, band_mask, irfft, rfft
 from faim.tensor import (
     Tape,
     Tensor,
@@ -93,20 +93,65 @@ def mse_chain(x_true, x_hat, lam):
     return mul(tsum(mul(per_patch, Tensor(lam))), Tensor(1.0 / lam.sum()))
 
 
-def _spectrum(bins):
-    return Spectrum(bins, 2 * (bins.shape[-2] - 1))
-
-
-def apply_psi(bins, w1, b1, w2, b2):
-    return psi_apply(PsiFilter(w1, b1, w2, b2), _spectrum(bins)).bins
-
-
 def psi_apply_chain(bins, w1, b1, w2, b2):
     d = bins.shape[-1]
     hidden = relu(linear(concat([real(bins), imag(bins)], axis=-1), w1, b1))
     halves = linear(hidden, w2, b2)
     values = make_complex(narrow(halves, halves.ndim - 1, 0, d), narrow(halves, halves.ndim - 1, d, d))
     return mul(values, bins)
+
+
+def afb_chain(tokens, params, use_high=True, use_low=True):
+    """The filtering block as the chain of spectral primitives it stands for."""
+    s = rfft(tokens)
+
+    def filtered(psi, bins):
+        return psi_apply_chain(bins, psi.w1, psi.b1, psi.w2, psi.b2)
+
+    integrated = filtered(params.psi_global, s.bins)
+    if use_high:
+        mask = band_mask(s, params.theta_high, KEEP_BELOW, params.tau)
+        integrated = add(integrated, filtered(params.psi_high, apply_mask(s, mask).bins))
+    if use_low:
+        mask = band_mask(s, params.theta_low, KEEP_ABOVE, params.tau)
+        integrated = add(integrated, filtered(params.psi_low, apply_mask(s, mask).bins))
+    return irfft(Spectrum(integrated, s.n_time))
+
+
+def afb_ops(use_high, use_low, tau=0.1):
+    """The filtering block's node and its chain, as functions of tokens, the
+    global filter's w1, b1, w2, b2, then the threshold and filter of each
+    local branch that runs (high, then low).  A dropped branch has no
+    inputs: neither side may read it.  The default tau is soft enough that
+    every bin reaches each local filter with a weight a finite difference
+    resolves."""
+
+    def params(leaves):
+        it = iter(leaves)
+
+        def psi():
+            return PsiFilter(*(next(it) for _ in range(4)))
+
+        psi_global = psi()
+        theta_high, psi_high = (next(it), psi()) if use_high else (None, None)
+        theta_low, psi_low = (next(it), psi()) if use_low else (None, None)
+        return AfbParams(theta_high, theta_low, psi_global, psi_high, psi_low, tau)
+
+    def fused(tokens, *leaves):
+        return afb_forward(tokens, params(leaves), use_high, use_low)[0]
+
+    def chain(tokens, *leaves):
+        return afb_chain(tokens, params(leaves), use_high, use_low)
+
+    return fused, chain
+
+
+_psi_fused, psi_chain = afb_ops(False, False)
+
+
+def apply_psi(tokens, w1, b1, w2, b2):
+    """The filter alone: the block with both local branches dropped."""
+    return _psi_fused(tokens, w1, b1, w2, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +194,12 @@ def _bias(bias, shape, rng):
     return [] if not bias else [rng.normal(size=shape)]
 
 
+def _filter(rng, dim, first_bias):
+    """w1, b1, w2, b2 of a filter over dim; first_bias shifts b1."""
+    return [rng.normal(size=(2 * dim, dim)), rng.normal(size=dim) + first_bias,
+            rng.normal(size=(dim, 2 * dim)), rng.normal(size=2 * dim)]
+
+
 def _cases():
     rng = np.random.default_rng(0)
     cases = []
@@ -183,14 +234,22 @@ def _cases():
             f"cross_gate-{len(x_shape)}d", cross_gate, cross_gate_chain,
             [rng.normal(size=x_shape) for _ in range(3)],
         ))
+        n_time = 8 if len(x_shape) == 2 else 9
+        tokens_shape = x_shape[:-2] + (n_time, 3)
         for dead in (False, True):
             # A positive first bias keeps most hidden units alive; a negative
             # one leaves many at zero, whose gradients are zeros of either sign.
-            bins = rng.normal(size=x_shape) + 1j * rng.normal(size=x_shape)
             cases.append((
-                f"psi_apply-{len(x_shape)}d" + ("-dead" if dead else ""), apply_psi, psi_apply_chain,
-                [bins, rng.normal(size=(6, 3)), rng.normal(size=3) + (-2.0 if dead else 1.0),
-                 rng.normal(size=(3, 6)), rng.normal(size=6)],
+                f"psi_apply-{len(x_shape)}d" + ("-dead" if dead else ""), apply_psi, psi_chain,
+                [rng.normal(size=tokens_shape)] + _filter(rng, 3, -2.0 if dead else 1.0),
+            ))
+        for use_high, use_low in ((True, True), (True, False), (False, True)):
+            fused, chain = afb_ops(use_high, use_low)
+            cases.append((
+                f"afb-{len(x_shape)}d-high{use_high}-low{use_low}", fused, chain,
+                [rng.normal(size=tokens_shape)] + _filter(rng, 3, 1.0)
+                + ([np.array(0.3)] + _filter(rng, 3, 1.0) if use_high else [])
+                + ([np.array(0.1)] + _filter(rng, 3, 1.0) if use_low else []),
             ))
     labels = np.array([0, 2, 1, 2])
     cases.append((
@@ -232,27 +291,22 @@ def test_fused_op_gradcheck(name, fused, chain, arrays):
         assert finite_diff_check(f, Tensor(arrays[i])) < 1e-5, f"input {i}"
 
 
-def psi_global_branch(psi_op):
-    """The global branch of the filtering block: the filtered spectrum plus
-    the two masked copies of the same spectrum, taken after the filter."""
+def tied_afb(block):
+    """A filtering block whose three branches share one filter and whose two
+    local branches share one threshold, with its input added to its output."""
 
-    def op(bins, w1, b1, w2, b2, theta_high, theta_low):
-        s = _spectrum(bins)
-        out = psi_op(bins, w1, b1, w2, b2)
-        for theta, direction in ((theta_high, KEEP_BELOW), (theta_low, KEEP_ABOVE)):
-            out = add(out, apply_mask(s, band_mask(s, theta, direction)).bins)
-        return out
+    def op(tokens, w1, b1, w2, b2, theta):
+        psi = PsiFilter(w1, b1, w2, b2)
+        return add(block(tokens, AfbParams(theta, theta, psi, psi, psi)), tokens)
 
     return op
 
 
 def _shared_cases():
-    """Fused ops whose inputs also feed other ops, and one op fed the same
-    tensor three times."""
+    """Fused ops whose inputs also feed other ops, and ops fed the same
+    tensor several times."""
     rng = np.random.default_rng(1)
     x = rng.normal(size=(2, 5, 3))
-    bins = rng.normal(size=(2, 5, 3)) + 1j * rng.normal(size=(2, 5, 3))
-    psi = [rng.normal(size=(6, 3)), rng.normal(size=3) + 1.0, rng.normal(size=(3, 6)), rng.normal(size=6)]
     return [
         (
             "layer_norm-x-also-added", lambda x, g, b: add(layer_norm(x, g, b), x),
@@ -266,8 +320,8 @@ def _shared_cases():
         ),
         ("cross_gate-one-input", lambda h: cross_gate(h, h, h), lambda h: cross_gate_chain(h, h, h), [x]),
         (
-            "psi_apply-global-branch", psi_global_branch(apply_psi), psi_global_branch(psi_apply_chain),
-            [bins] + psi + [np.array(0.4), np.array(0.05)],
+            "afb-tied-filters-and-residual", tied_afb(lambda t, p: afb_forward(t, p)[0]), tied_afb(afb_chain),
+            [rng.normal(size=(2, 8, 3))] + _filter(rng, 3, 1.0) + [np.array(0.2)],
         ),
     ]
 
@@ -289,9 +343,10 @@ def test_fused_op_is_bitwise_equal_to_its_chain_when_inputs_are_shared(name, fus
 @pytest.mark.parametrize(
     "op, args",
     [
-        (apply_psi, [np.ones((2, 3)), np.ones((6, 3)), np.zeros(3), np.ones((3, 6)), np.zeros(6)]),
-        (apply_psi, [np.ones((2, 3), dtype=np.complex128), np.ones((6, 3), dtype=np.complex128),
-                     np.zeros(3), np.ones((3, 6)), np.zeros(6)]),
+        (apply_psi, [np.ones((2, 3), dtype=np.complex128), np.ones((6, 3)), np.zeros(3), np.ones((3, 6)),
+                     np.zeros(6)]),
+        (apply_psi, [np.ones((2, 3)), np.ones((6, 3), dtype=np.complex128), np.zeros(3), np.ones((3, 6)),
+                     np.zeros(6)]),
         (linear, [np.ones((2, 3), dtype=np.complex128), np.ones((3, 2))]),
         (causal_conv1d, [np.ones((4, 3), dtype=np.complex128), np.ones((2, 3))]),
         (layer_norm, [np.ones((2, 3), dtype=np.complex128), np.ones(3), np.zeros(3)]),
@@ -324,13 +379,16 @@ def _kept_case(name):
         return causal_conv1d, [x, rng.normal(size=(4, DIM)), np.zeros(DIM)], 0
     if name == "cross_gate":  # the two sigmoids
         return cross_gate, [x, h2, gate], 2 * x.nbytes
-    # psi_apply: the hidden activations and the complex filter values
+    # afb_forward: the spectrum, then per branch its mask (a few bytes), the
+    # filter's hidden activations and its complex values
     bins = np.fft.rfft(x, axis=-2)
-    weights = [rng.normal(size=(2 * DIM, DIM)), np.zeros(DIM), rng.normal(size=(DIM, 2 * DIM)), np.zeros(2 * DIM)]
-    return apply_psi, [bins] + weights, bins.size * 8 + bins.nbytes
+    fused, _ = afb_ops(True, True)
+    leaves = [x] + _filter(rng, DIM, 0.0) + [np.array(0.4)] + _filter(rng, DIM, 0.0) \
+        + [np.array(0.05)] + _filter(rng, DIM, 0.0)
+    return fused, leaves, bins.nbytes + 3 * (bins.size * 8 + bins.nbytes)
 
 
-@pytest.mark.parametrize("name", ["layer_norm", "causal_conv1d", "psi_apply", "cross_gate"])
+@pytest.mark.parametrize("name", ["layer_norm", "causal_conv1d", "afb_forward", "cross_gate"])
 def test_taped_forward_holds_its_output_and_what_it_keeps(name):
     op, arrays, kept = _kept_case(name)
     leaves = [parameter(a) for a in arrays]
