@@ -106,6 +106,9 @@ class _RunDirectory:
 
 def _cmd_synth(cfg: dict, out_dir: Path) -> None:
     kind = cfg["synth.kind"]
+    for key in ["synth.n_per_class", "synth.t"] + (["synth.channels"] if kind == "motion" else []):
+        if cfg[key] < 1:
+            raise InputError(f"{key} must be >= 1, got {cfg[key]}")
     if kind == "freq":
         ext = "tsv"
         make = lambda seed: data_io.make_synthetic_freq_dataset(
@@ -133,10 +136,16 @@ def _cmd_synth(cfg: dict, out_dir: Path) -> None:
     _write(out_dir / "summary", summary)
 
 
+def _batch_size(cfg: dict, model) -> int:
+    """train.batch_size, checked as FaimConfig checks it for training."""
+    return dataclasses.replace(model.config, batch_size=cfg["train.batch_size"]).batch_size
+
+
 def _score_test(cfg: dict, model, meta: dict, report: TrainReport) -> float:
     """Add the test split's row and metrics to ``report``; returns the test loss."""
+    batch_size = _batch_size(cfg, model)
     test = _load_test_like(cfg, meta)
-    loss, acc, f1 = evaluate(model, test, cfg["train.batch_size"])
+    loss, acc, f1 = evaluate(model, test, batch_size)
     report.add(0, "test", loss, acc, f1)
     report.summary["test_accuracy"] = repr(acc)
     report.summary["test_macro_f1"] = repr(f1)
@@ -187,12 +196,13 @@ def _cmd_noise_bench(cfg: dict, out_dir: Path) -> None:
     if not cfg["eval.checkpoint"]:
         raise InputError("noise-bench needs --eval.checkpoint pointing at a trained model")
     model, meta = load_checkpoint(cfg["eval.checkpoint"])
+    batch_size = _batch_size(cfg, model)
     test = _load_test_like(cfg, meta)
     lines = ["sigma,accuracy,macro_f1"]
     report = TrainReport()
     for sigma in cfg["noise.sigmas"]:
         noisy = data_io.add_gaussian_noise(test, sigma, cfg["train.seed"])
-        preds = predict_dataset(model, noisy, cfg["train.batch_size"])
+        preds = predict_dataset(model, noisy, batch_size)
         acc, f1 = accuracy_and_macro_f1(preds, noisy.y, noisy.n_classes)
         lines.append(f"{repr(float(sigma))},{repr(acc)},{repr(f1)}")
         report.summary[f"accuracy_at_{format(sigma, 'g')}"] = repr(acc)

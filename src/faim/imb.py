@@ -29,8 +29,8 @@ and states h_t from Δ·x, which each block forms for itself.  The forward
 keeps none of them past its block: as in Mamba's hardware-aware scan, the
 rule recomputes them, block by block, with the same operations, and only a
 call of one block keeps its block for the rule.  The blocks run on one
-thread per CPU this process may use, the calling thread among them (numpy
-releases the interpreter lock inside its loops); each thread takes the next
+thread per CPU this process may use, the caller and helpers of the call
+(numpy releases the interpreter lock inside its loops); each takes the next
 block not yet taken, in its own slice of scratch, allocated once per pass.
 Every element goes through the same operations in the same order whatever
 the block size or thread count, so outputs and gradients are bitwise equal
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,36 +108,22 @@ def discretize(A, B_t, delta_t):
 # fused selective scan
 # ---------------------------------------------------------------------------
 
-# One scan thread per CPU this process may use: the calling thread and a
-# pool of helpers, which starts its threads on first use.
+# One scan thread per CPU this process may use, the caller among them.
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _start_pool() -> None:
-    global _POOL
-    _POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="faim-scan")
-
-
-_start_pool()
-if hasattr(os, "register_at_fork"):
-    # A forked child has none of its parent's threads, and the inherited
-    # pool's locks may have been held at the fork.
-    os.register_at_fork(after_in_child=_start_pool)
 
 
 def _each(fn, blocks: list[slice], then=None) -> None:
     """Call fn(worker, blk) for every block, inline when there is one block
-    or one CPU.  Otherwise the calling thread is worker 0 and pool helpers
-    1, 2, ... join it; each takes the next block not yet taken, so a thread
-    that starts late or runs slow takes fewer, and a helper that has not
-    started when the blocks run out is cancelled, not waited for.  Helpers
-    run under the caller's np.errstate.
+    or one CPU.  Otherwise the caller is worker 0 and helper threads 1, 2,
+    ..., started for this call, run beside it under its np.errstate; each
+    takes the next block not yet taken, so a thread that starts late or runs
+    slow takes fewer.  Every helper is joined before the call returns.
 
     ``then(worker, blk)``, if given, runs after fn(worker, blk) and after
     ``then`` has run for every earlier block, so it may carry a running
     total in block order; a thread waits for its turn holding its block.
     Once a block raises, no thread starts a block or waits for a turn, and
-    the error propagates to the caller.
+    the first error is raised in the caller once every helper has ended.
     """
     workers = min(_WORKERS, len(blocks))
     if workers <= 1:
@@ -151,42 +136,45 @@ def _each(fn, blocks: list[slice], then=None) -> None:
     todo = enumerate(blocks)
     turns = threading.Condition()
     done = 0  # blocks whose then has run
-    failed = False
-    errors = np.geterr()
+    failures = []
+    errstate = np.geterr()
 
     def share(w):
-        nonlocal done, failed
-        with np.errstate(**errors):
+        nonlocal done
+        with np.errstate(**errstate):
             try:
                 while True:
                     with turns:
                         i, blk = next(todo, (None, None))
-                        if blk is None or failed:
+                        if blk is None or failures:
                             return
                     fn(w, blk)
                     if then is None:
                         continue
                     with turns:
-                        turns.wait_for(lambda: done == i or failed)
-                        if failed:
+                        turns.wait_for(lambda: done == i or failures)
+                        if failures:
                             return
                     then(w, blk)
                     with turns:
                         done += 1
                         turns.notify_all()
-            except BaseException:
+            except BaseException as exc:
                 with turns:
-                    failed = True
+                    failures.append(exc)
                     turns.notify_all()
-                raise
 
-    helpers = [_POOL.submit(share, w) for w in range(1, workers)]
+    helpers = [threading.Thread(target=share, args=(w,)) for w in range(1, workers)]
     try:
+        for helper in helpers:
+            helper.start()
         share(0)
     finally:
         for helper in helpers:
-            if not helper.cancel():
-                helper.result()
+            if helper.is_alive():
+                helper.join()
+    if failures:
+        raise failures[0]
 
 
 def _fill_block(out: np.ndarray, delta: np.ndarray, a: np.ndarray, dx: np.ndarray, b: np.ndarray) -> None:

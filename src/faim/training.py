@@ -240,13 +240,36 @@ def _check_parameters(model: FaimModel, stage: str, epoch: int, step: int) -> No
 # ---------------------------------------------------------------------------
 
 
+def _epochs(model: FaimModel, config: FaimConfig, stage: str, n_samples: int, epochs: int, batch_loss):
+    """Train ``model`` with AdamW and yield (epoch, mean training loss)
+    after each epoch: ``n_samples`` samples in a seeded shuffle, batch by
+    batch; ``batch_loss(epoch, step, idx)`` records the loss of samples
+    ``idx`` on the step's tape.  A non-finite step loss, or a parameter left
+    non-finite at the end of an epoch, raises NonFiniteError."""
+    opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
+    shuffle_rng = CounterRng(derive_seed(config.seed, f"{stage}-shuffle"))
+    for epoch in range(1, epochs + 1):
+        order = shuffle_rng.permutation(n_samples)
+        epoch_loss = 0.0
+        for step, start in enumerate(range(0, n_samples, config.batch_size)):
+            idx = order[start : start + config.batch_size]
+            with Tape() as tape:
+                loss = batch_loss(epoch, step, idx)
+            _check_loss(loss.item(), stage, epoch, step + 1)
+            grads = backward(tape, loss)
+            adamw_step(model.values, *model.gradient(grads), opt)
+            epoch_loss += loss.item() * len(idx)
+        _check_parameters(model, stage, epoch, step + 1)
+        yield epoch, epoch_loss / n_samples
+
+
 def pretrain(
     dataset: SeriesDataset, config: FaimConfig, checkpoint_path: str | None = None
 ) -> tuple[FaimModel, TrainReport]:
     """Masked-reconstruction stage; returns the best-loss parameter state.
 
-    A non-finite step loss, or a parameter left non-finite at the end of an
-    epoch, raises NonFiniteError before any checkpoint is written.
+    Non-finite losses and parameters raise NonFiniteError (see ``_epochs``)
+    before any checkpoint is written.
     """
     if config.variant == "no_pretrain":
         raise ConfigError("variant no_pretrain is never pretrained; finetune it without an init model")
@@ -254,38 +277,22 @@ def pretrain(
         raise InputError("cannot pretrain on an empty dataset")
     x = dataset.x
     model = build_model(config, dataset.n_classes, dataset.n_channels, dataset.series_len)
-    opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
-    shuffle_rng = CounterRng(derive_seed(config.seed, "pretrain-shuffle"))
+
+    def batch_loss(epoch, step, idx):
+        xb = x[idx]
+        seed = derive_seed(config.seed, "pretrain-mask", epoch, step)
+        lam = make_mask((len(xb), dataset.n_channels, model.n_patches), config.mask_ratio, seed)
+        recon = reconstruct_forward(xb, lam, model)
+        return masked_mse(patchify(xb, config.patch_len, config.patch_stride), recon, lam)
+
     report = TrainReport()
-    best_loss = np.inf
-    best_state = model.values.copy()
-    for epoch in range(1, config.pretrain_epochs + 1):
-        order = shuffle_rng.permutation(len(x))
-        epoch_loss = 0.0
-        for step, start in enumerate(range(0, len(x), config.batch_size)):
-            xb = x[order[start : start + config.batch_size]]
-            lam = make_mask(
-                (len(xb), dataset.n_channels, model.n_patches),
-                config.mask_ratio,
-                derive_seed(config.seed, "pretrain-mask", epoch, step),
-            )
-            with Tape() as tape:
-                recon = reconstruct_forward(xb, lam, model)
-                loss = masked_mse(patchify(xb, config.patch_len, config.patch_stride), recon, lam)
-            _check_loss(loss.item(), "pretrain", epoch, step + 1)
-            grads = backward(tape, loss)
-            adamw_step(model.values, *model.gradient(grads), opt)
-            epoch_loss += loss.item() * len(xb)
-        _check_parameters(model, "pretrain", epoch, step + 1)
-        epoch_loss /= len(x)
+    best_loss, best_state = np.inf, model.values.copy()
+    for epoch, epoch_loss in _epochs(model, config, "pretrain", len(x), config.pretrain_epochs, batch_loss):
         if epoch_loss < best_loss:
-            best_loss = epoch_loss
-            best_state = model.values.copy()
+            best_loss, best_state = epoch_loss, model.values.copy()
         report.add(epoch, "pretrain", epoch_loss, None, None)
     model.values[...] = best_state
-    report.summary["stage"] = "pretrain"
-    report.summary["best_loss"] = repr(best_loss)
-    report.summary["epochs"] = config.pretrain_epochs
+    report.summary.update(stage="pretrain", best_loss=repr(best_loss), epochs=config.pretrain_epochs)
     if checkpoint_path is not None:
         save_checkpoint(model, checkpoint_path, dataset_meta(dataset, config))
     return model, report
@@ -327,38 +334,24 @@ def finetune(
         model = init
         model.config = config
     x, y = train_set.x, train_set.y
-    opt = AdamWState(lr=config.lr, weight_decay=config.weight_decay)
-    shuffle_rng = CounterRng(derive_seed(config.seed, "finetune-shuffle"))
+
+    def batch_loss(epoch, step, idx):
+        logits, _ = classify_batch(model, x[idx])
+        return batch_label_smoothed_ce(logits, y[idx], config.label_smooth_eps)
+
     report = TrainReport()
-    best_acc = -1.0
-    best_epoch = 0
-    best_state = model.values.copy()
-    for epoch in range(1, config.finetune_epochs + 1):
-        order = shuffle_rng.permutation(len(x))
-        epoch_loss = 0.0
-        for step, start in enumerate(range(0, len(x), config.batch_size)):
-            idx = order[start : start + config.batch_size]
-            with Tape() as tape:
-                logits, _ = classify_batch(model, x[idx])
-                loss = batch_label_smoothed_ce(logits, y[idx], config.label_smooth_eps)
-            _check_loss(loss.item(), "finetune", epoch, step + 1)
-            grads = backward(tape, loss)
-            adamw_step(model.values, *model.gradient(grads), opt)
-            epoch_loss += loss.item() * len(idx)
-        _check_parameters(model, "finetune", epoch, step + 1)
-        epoch_loss /= len(x)
+    best_acc, best_epoch, best_state = -1.0, 0, model.values.copy()
+    for epoch, epoch_loss in _epochs(model, config, "finetune", len(x), config.finetune_epochs, batch_loss):
         val_loss, val_acc, val_f1 = evaluate(model, val_set, config.batch_size)
         if val_acc >= best_acc:
-            best_acc = val_acc
-            best_epoch = epoch
-            best_state = model.values.copy()
+            best_acc, best_epoch, best_state = val_acc, epoch, model.values.copy()
         report.add(epoch, "train", epoch_loss, None, None)
         report.add(epoch, "val", val_loss, val_acc, val_f1)
     model.values[...] = best_state
-    report.summary["stage"] = "finetune"
-    report.summary["best_val_accuracy"] = repr(best_acc)
-    report.summary["best_epoch"] = best_epoch
-    report.summary["epochs"] = config.finetune_epochs
+    report.summary.update(
+        stage="finetune", best_val_accuracy=repr(best_acc), best_epoch=best_epoch,
+        epochs=config.finetune_epochs,
+    )
     if checkpoint_path is not None:
         save_checkpoint(model, checkpoint_path, dataset_meta(dataset, config))
     return model, report

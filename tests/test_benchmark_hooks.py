@@ -48,14 +48,18 @@ def test_workload_setup_reads_its_inputs(tmp_path, name, samples, channels, seri
     assert (len(dataset), dataset.n_channels, dataset.series_len) == (samples, channels, series_len)
 
 
-def test_tracer_counts_one_optimizer_step_per_training_step():
+@pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+def test_tracer_counts_one_optimizer_step_per_training_step(stage):
     spans = _load("spans")
-    dataset = make_synthetic_freq_dataset(4, 16, [2.0, 5.0], 0.1, 0)  # 8 samples
-    config = FaimConfig(patch_len=4, embed_dim=8, n_layers=1, ssm_state=4, batch_size=4, pretrain_epochs=2)
+    # 8 samples, of which finetune trains on 6 or 7: two steps of 4 per epoch
+    dataset = make_synthetic_freq_dataset(4, 16, [2.0, 5.0], 0.1, 0)
+    config = FaimConfig(
+        patch_len=4, embed_dim=8, n_layers=1, ssm_state=4, batch_size=4, pretrain_epochs=2, finetune_epochs=2
+    )
     rec = spans.Recorder()
     rec.install()
     try:
-        faim.training.pretrain(dataset, config)
+        getattr(faim.training, stage)(dataset, config)
     finally:
         rec.uninstall()
     metrics = spans.layer_metrics(rec)

@@ -334,6 +334,36 @@ class TestExitCodes:
         assert "finetune epoch 1 step 1: the training loss is nan" in err
         assert not {"checkpoint", "report.csv", "summary"} & {p.name for p in (tmp_path / "f").iterdir()}
 
+    @pytest.mark.parametrize("command", ["eval", "noise-bench"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_out_of_range_eval_batch_size_exits_1(self, tmp_path, capsys, command, value):
+        assert main(synth_args(tmp_path, "synth")) == 0
+        path = tmp_path / "model.ckpt"
+        model = build_model(FaimConfig(patch_len=4, embed_dim=8, n_layers=1, ssm_state=4), 2, 1, 16)
+        save_checkpoint(model, str(path))
+        capsys.readouterr()
+        rc = main([command, "--run.dir", str(tmp_path), "--run.name", "e", "--eval.checkpoint", str(path),
+                   "--data.test", str(tmp_path / "synth" / "test.tsv"), "--train.batch_size", value])
+        assert rc == 1
+        assert f"train.batch_size must be in [1, 256], got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--synth.n_per_class", "-1"], "synth.n_per_class"),
+            (["--synth.n_per_class", "0"], "synth.n_per_class"),
+            (["--synth.kind", "motion", "--synth.channels", "0"], "synth.channels"),
+            (["--synth.kind", "motion", "--synth.t", "0"], "synth.t"),
+        ],
+        ids=["negative-count", "zero-count", "zero-channels", "zero-length"],
+    )
+    def test_synth_rejects_an_empty_corpus_before_writing_it(self, tmp_path, capsys, flags, key):
+        rc = main(synth_args(tmp_path, "s") + flags)
+        assert rc == 1
+        assert f"{key} must be >= 1, got {flags[-1]}" in capsys.readouterr().err
+        written = {p.name for p in (tmp_path / "s").iterdir()}
+        assert not {"train.tsv", "test.tsv", "train.jsonl", "test.jsonl"} & written
+
     def test_lockfile_contention(self, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()

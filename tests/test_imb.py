@@ -7,7 +7,6 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -319,9 +318,9 @@ class TestSsmScan:
 
 class TestBlockedScan:
     """The taped scan runs over row blocks sized from tensor.ROW_BLOCK_BYTES,
-    on imb._WORKERS threads: the caller and imb._POOL's helpers.  Every
-    block size and thread count must give the bits of one whole-batch pass
-    on one thread."""
+    on imb._WORKERS threads: the caller and helpers started for the call.
+    Every block size and thread count must give the bits of one whole-batch
+    pass on one thread."""
 
     ROWS, TOKENS, DIM, STATE = 7, 6, 5, 3
     NAMES = ("y", "x", "a_log", "w_b", "w_c", "w_delta", "delta_bias")
@@ -355,25 +354,15 @@ class TestBlockedScan:
 
     @pytest.fixture
     def use_workers(self, monkeypatch):
-        """Gives the scan n threads, the caller and n - 1 helpers on a pool
-        of its own, whatever the CPU count.  Threads switch every
-        microsecond meanwhile, so that they interleave even on these small
-        blocks."""
-        pools = []
-
-        def use(n):
-            pools.append(ThreadPoolExecutor(max(1, n - 1)))
-            monkeypatch.setattr(imb, "_WORKERS", n)
-            monkeypatch.setattr(imb, "_POOL", pools[-1])
-
+        """Gives the scan n threads, the caller and n - 1 helpers, whatever
+        the CPU count.  Threads switch every microsecond meanwhile, so that
+        they interleave even on these small blocks."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            yield use
+            yield lambda n: monkeypatch.setattr(imb, "_WORKERS", n)
         finally:
             sys.setswitchinterval(interval)
-            for pool in pools:
-                pool.shutdown(wait=True)
 
     def test_outputs_and_gradients_are_bitwise_equal_across_block_sizes(self, monkeypatch, use_workers):
         # every block size, on 1, 2 and 3 workers, against one block on one
@@ -408,6 +397,7 @@ class TestBlockedScan:
 
     def test_a_block_that_raises_releases_a_thread_waiting_its_turn(self, use_workers):
         use_workers(2)
+        before = threading.active_count()
         waiting = threading.Event()
         added, raised = [], []
 
@@ -430,7 +420,7 @@ class TestBlockedScan:
         runner.join(timeout=10)
         assert not runner.is_alive(), "a thread still waits for the failed block's turn"
         assert [str(e) for e in raised] == ["block 0 failed"] and added == []
-        imb._POOL.submit(int).result(timeout=10)  # the helper is free again
+        assert threading.active_count() == before  # the helper has ended too
 
     def test_a_rule_block_that_raises_propagates_its_error(self, monkeypatch, use_workers):
         use_workers(2)
@@ -445,11 +435,35 @@ class TestBlockedScan:
             fill_block(*args)
 
         monkeypatch.setattr(imb, "_fill_block", failing)
+        before = threading.active_count()
         start = time.monotonic()
         with pytest.raises(ValueError, match="refill failed"):
             self._run(monkeypatch, 3)
         assert time.monotonic() - start < 10
-        imb._POOL.submit(int).result(timeout=10)  # the helper is free again
+        assert threading.active_count() == before  # the helper has ended too
+
+    def test_no_thread_outlives_a_taped_scan_and_its_backward(self, monkeypatch, use_workers):
+        use_workers(2)
+        before = threading.active_count()
+        # the first two threads to fill a block each hold it until the other
+        # has one, so that a helper surely runs a block
+        both_in = threading.Barrier(2, timeout=10)
+        ran = set()
+        fill_block = imb._fill_block
+
+        def fill(*args):
+            thread = threading.current_thread()
+            if thread not in ran:
+                ran.add(thread)
+                if len(ran) <= 2:
+                    both_in.wait()
+            fill_block(*args)
+
+        monkeypatch.setattr(imb, "_fill_block", fill)
+        self._run(monkeypatch, 3)
+        helpers = ran - {threading.current_thread()}
+        assert helpers and not any(t.is_alive() for t in helpers)
+        assert threading.active_count() == before
 
     def test_rule_refills_only_a_call_of_several_blocks(self, monkeypatch):
         fills = []
@@ -474,34 +488,21 @@ class TestBlockedScan:
             outputs.append(ssm_scan(params, Tensor(x)).data)
         assert all(np.array_equal(outputs[0], y) for y in outputs[1:])
 
-    def test_one_block_never_touches_the_pool(self, monkeypatch):
-        class RefusingPool:
-            def submit(self, *args):
-                raise AssertionError("a one-block scan submitted work to the pool")
+    def test_one_block_scan_starts_no_thread(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-block or tape-free scan started a thread")
 
         monkeypatch.setattr(imb, "_WORKERS", 2)
-        monkeypatch.setattr(imb, "_POOL", RefusingPool())
+        monkeypatch.setattr(imb.threading, "Thread", refuse)
         # pretrain-tiny geometry: 8 rows of 16 tokens, dim 16, state 4
         params = init_ssm_params(16, 4, CounterRng(4))
         x = parameter(np.random.default_rng(4).normal(size=(8, 16, 16)))
         with Tape() as tape:
             loss = tsum(ssm_scan(params, x))
         backward(tape, loss)
-
-    def test_helpers_that_never_start_are_not_waited_for(self, monkeypatch):
-        class NeverStarts(Future):
-            def result(self, timeout=None):
-                raise AssertionError("waited for a helper that never started")
-
-        class StalledPool:
-            def submit(self, *args):
-                return NeverStarts()
-
-        monkeypatch.setattr(imb, "_WORKERS", 3)
-        monkeypatch.setattr(imb, "_POOL", StalledPool())
-        taken = []
-        imb._each(lambda w, blk: taken.append((w, blk.start)), [slice(r, r + 1) for r in range(4)])
-        assert taken == [(0, 0), (0, 1), (0, 2), (0, 3)]
+        # nor does the tape-free scan, at a row budget of one row per block
+        monkeypatch.setattr(tensor, "ROW_BLOCK_BYTES", 16 * 16 * 4 * 8)
+        ssm_scan(params, Tensor(x.data))
 
     def test_helpers_run_under_the_callers_error_state(self, use_workers):
         use_workers(2)
@@ -519,19 +520,17 @@ class TestBlockedScan:
         assert seen == {0: "raise", 1: "raise"}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_scans_on_a_pool_of_its_own(self, use_workers):
+    def test_forked_child_scans_on_threads_of_its_own(self, monkeypatch, use_workers):
+        # a taped scan of three blocks on 2 workers, before the fork and in
+        # the child
         use_workers(2)
-        params, x, _ = self._inputs()
-        y = ssm_scan(params, Tensor(x)).data
-        imb._POOL.submit(int).result(timeout=10)  # the pool's thread now runs
+        expected = b"".join(a.tobytes() for a in self._run(monkeypatch, 3))
         read_end, write_end = os.pipe()
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                os.write(write_end, ssm_scan(params, Tensor(x)).data.tobytes())
-                # times out on the inherited pool, which has no threads
-                imb._POOL.submit(int).result(timeout=10)
+                os.write(write_end, b"".join(a.tobytes() for a in self._run(monkeypatch, 3)))
                 code = 0
             finally:
                 os._exit(code)
@@ -545,7 +544,7 @@ class TestBlockedScan:
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(status[1]) == 0
         with os.fdopen(read_end, "rb") as fh:
-            assert fh.read() == y.tobytes()
+            assert fh.read() == expected
 
 
 class TestImbBranch:
