@@ -282,6 +282,8 @@ def make_synthetic_freq_dataset(
     for f in freqs:
         if not 0 < f < t / 2:
             raise InputError(f"frequency {f} is outside (0, {t / 2})")
+    if len(freqs) < 2:
+        raise InputError(f"need at least 2 classes, got {len(freqs)}")
     rng = CounterRng(derive_seed(seed, "synth-freq"))
     grid = np.arange(t) / t
     y = np.repeat(np.arange(len(freqs)), n_per_class)

@@ -7,15 +7,17 @@ input gate, and a final short conv plus projection fuses them.
 The scan, with the projections of B, C and Δ and the map A = -exp(a_log)
 that feed it, is one fused tape primitive with two paths, chosen by
 whether a tape is active.  Without one (evaluation, prediction) the
-recurrence runs token by token and keeps only the current state h_t, so
-memory grows with batch·dim·state, not with the token count.  It uses
-phi·Δ·B·x = expm1(ΔA)·x·B/A and exp(ΔA) = expm1(ΔA) + 1, so each token
-costs one transcendental per element:
+batch is cut into one contiguous block of rows per scan thread, and each
+block runs the recurrence token by token, keeping only its current state
+h_t, so memory grows with batch·dim·state, not with the token count.  It
+uses phi·Δ·B·x = expm1(ΔA)·x·B/A and exp(ΔA) = expm1(ΔA) + 1, so each
+token costs one transcendental per element:
 
     g = expm1(Δ_t A),  h_t = h_{t-1} + g ⊙ (h_{t-1} + x_t·B_t/A).
 
 A = -exp(a_log) is never zero, and the form needs no small-|ΔA| series.
-Two [batch, dim, state] buffers are reused across tokens.  Under a tape
+Each block reuses two [rows, dim, state] buffers across tokens.  Rows never
+interact, so the output is bitwise equal for any thread count.  Under a tape
 the backward rule runs only the state-gradient recurrence token by token,
 forming the parameter gradients as whole-tensor products over tokens.  This
 avoids recording ~10 tape nodes per token while keeping the gradient exact
@@ -108,16 +110,20 @@ def discretize(A, B_t, delta_t):
 # fused selective scan
 # ---------------------------------------------------------------------------
 
-# One scan thread per CPU this process may use, the caller among them.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# One scan thread per CPU this process may use, the caller among them, but
+# at most 2, the only count measured (the thread-count FOUND, ROADMAP item
+# 4): uncapped, a 60-row tape-free scan on 64 CPUs would start 59 threads.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _each(fn, blocks: list[slice], then=None) -> None:
-    """Call fn(worker, blk) for every block, inline when there is one block
-    or one CPU.  Otherwise the caller is worker 0 and helper threads 1, 2,
-    ..., started for this call, run beside it under its np.errstate; each
-    takes the next block not yet taken, so a thread that starts late or runs
-    slow takes fewer.  Every helper is joined before the call returns.
+    """Call fn(worker, blk) for every block: the taped scan's row blocks
+    and their rule, or the tape-free scan's one block of rows per worker.
+    It runs inline when there is one block or one CPU.  Otherwise the
+    caller is worker 0 and helper threads 1, 2, ..., started for this call,
+    run beside it under its np.errstate; each takes the next block not yet
+    taken, so a thread that starts late or runs slow takes fewer.  Every
+    helper is joined before the call returns.
 
     ``then(worker, blk)``, if given, runs after fn(worker, blk) and after
     ``then`` has run for every earlier block, so it may carry a running
@@ -202,29 +208,39 @@ def _scan(xd: np.ndarray, dd: np.ndarray, bd: np.ndarray, cd: np.ndarray, ad: np
     Shapes: x, delta [batch, Z, dim]; b, c [batch, Z, state]; a [dim, state].
     State is diagonal per (dim, state) pair.  Returns y and, under an active
     tape, a function from y's gradient to the gradients of x, delta, b, c
-    and a; without one, the states are built one token at a time and
-    dropped, and the function is None.
+    and a; without one, the function is None, and each scan thread builds
+    the states of its block of rows one token at a time and drops them.
     """
     n_batch, n_tok, dim = xd.shape
+    n_state = ad.shape[-1]
     if active_tape() is None:
-        # h_t = h_{t-1} + g·(h_{t-1} + x·B/A) with g = expm1(ΔA).
         y = np.empty_like(xd)
         inv_a = 1.0 / ad
-        h = np.zeros((n_batch, dim, ad.shape[-1]))
-        g = np.empty_like(h)
-        drive = np.empty_like(h)
-        for t in range(n_tok):
-            np.multiply(dd[:, t, :, None], ad, out=g)
-            np.expm1(g, out=g)
-            np.multiply(xd[:, t, :, None], inv_a, out=drive)
-            drive *= bd[:, t, None, :]
-            drive += h
-            drive *= g
-            h += drive
-            y[:, t] = np.matmul(h, cd[:, t, :, None])[..., 0]
+
+        def free_block(w, blk):
+            # h_t = h_{t-1} + g·(h_{t-1} + x·B/A) with g = expm1(ΔA).  A copy
+            # then a contiguous multiply runs faster than a broadcast multiply.
+            h = np.zeros((blk.stop - blk.start, dim, n_state))
+            g = np.empty_like(h)
+            drive = np.empty_like(h)
+            for t in range(n_tok):
+                np.copyto(g, dd[blk, t, :, None])
+                g *= ad
+                np.expm1(g, out=g)
+                np.copyto(drive, xd[blk, t, :, None])
+                drive *= inv_a
+                drive *= bd[blk, t, None, :]
+                drive += h
+                drive *= g
+                h += drive
+                y[blk, t] = np.matmul(h, cd[blk, t, :, None])[..., 0]
+
+        # One contiguous block of rows per worker.
+        workers = max(1, min(_WORKERS, n_batch))
+        bounds = [n_batch * k // workers for k in range(workers + 1)]
+        _each(free_block, [slice(r0, r1) for r0, r1 in zip(bounds, bounds[1:])])
         return y, None
 
-    n_state = ad.shape[-1]
     rows = min(n_batch, max(1, tensor.ROW_BLOCK_BYTES // (n_tok * dim * n_state * 8)))
     blocks = [slice(r0, min(r0 + rows, n_batch)) for r0 in range(0, n_batch, rows)]
     y = np.empty_like(xd)

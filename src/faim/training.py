@@ -314,6 +314,8 @@ def finetune(
     """
     if len(dataset) == 0:
         raise InputError("cannot finetune on an empty dataset")
+    if dataset.n_classes < 2:
+        raise InputError(f"finetune needs at least 2 classes, got {dataset.n_classes}")
     missing = set(range(dataset.n_classes)) - set(dataset.y.tolist())
     if missing:
         warnings.warn(f"classes {sorted(missing)} absent from the training labels")

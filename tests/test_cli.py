@@ -364,6 +364,20 @@ class TestExitCodes:
         written = {p.name for p in (tmp_path / "s").iterdir()}
         assert not {"train.tsv", "test.tsv", "train.jsonl", "test.jsonl"} & written
 
+    def test_synth_rejects_a_one_class_corpus(self, tmp_path, capsys):
+        rc = main(synth_args(tmp_path, "s") + ["--synth.freqs", "0.5"])
+        assert rc == 1
+        assert "need at least 2 classes, got 1" in capsys.readouterr().err
+        assert not {"train.tsv", "test.tsv"} & {p.name for p in (tmp_path / "s").iterdir()}
+
+    def test_finetune_rejects_a_one_class_training_set(self, tmp_path, capsys):
+        path = tmp_path / "one.tsv"
+        path.write_text("".join("a\t" + "\t".join(str(np.sin(i + k)) for k in range(16)) + "\n" for i in range(6)))
+        rc = main(["finetune", "--run.dir", str(tmp_path), "--run.name", "f", "--data.train", str(path), *SMALL])
+        assert rc == 1
+        assert "finetune needs at least 2 classes, got 1" in capsys.readouterr().err
+        assert not {"checkpoint", "report.csv", "summary"} & {p.name for p in (tmp_path / "f").iterdir()}
+
     def test_lockfile_contention(self, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()

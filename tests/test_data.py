@@ -321,10 +321,14 @@ class TestSyntheticFreqDataset:
             assert np.argmax(spectrum) == (3 if label == 0 else 12)
 
     def test_unit_amplitude_when_noiseless(self):
-        ds = make_synthetic_freq_dataset(5, 64, [4.0], 0.0, seed=2)
-        for series in ds.x:
-            peak = np.abs(np.fft.rfft(series[0]))[4]
+        ds = make_synthetic_freq_dataset(5, 64, [4.0, 9.0], 0.0, seed=2)
+        for series, label in zip(ds.x, ds.y):
+            peak = np.abs(np.fft.rfft(series[0]))[(4, 9)[label]]
             np.testing.assert_allclose(peak, 32.0, rtol=1e-9)
+
+    def test_one_class_rejected(self):
+        with pytest.raises(InputError, match="need at least 2 classes, got 1"):
+            make_synthetic_freq_dataset(5, 16, [3.0], 0.1, seed=0)
 
     def test_duplicate_frequencies_rejected(self):
         with pytest.raises(InputError, match="distinct"):

@@ -364,6 +364,28 @@ class TestBlockedScan:
         finally:
             sys.setswitchinterval(interval)
 
+    def _hold_first_blocks(self, monkeypatch):
+        """Make the first two threads to start a block of any _each call
+        each hold it until the other has one, so that a helper surely runs
+        a block; returns the set of threads that ran one."""
+        both_in = threading.Barrier(2, timeout=10)
+        ran = set()
+        each = imb._each
+
+        def held(fn, blocks, then=None):
+            def fn_held(w, blk):
+                thread = threading.current_thread()
+                if thread not in ran:
+                    ran.add(thread)
+                    if len(ran) <= 2:
+                        both_in.wait()
+                fn(w, blk)
+
+            each(fn_held, blocks, then)
+
+        monkeypatch.setattr(imb, "_each", held)
+        return ran
+
     def test_outputs_and_gradients_are_bitwise_equal_across_block_sizes(self, monkeypatch, use_workers):
         # every block size, on 1, 2 and 3 workers, against one block on one
         use_workers(1)
@@ -445,21 +467,7 @@ class TestBlockedScan:
     def test_no_thread_outlives_a_taped_scan_and_its_backward(self, monkeypatch, use_workers):
         use_workers(2)
         before = threading.active_count()
-        # the first two threads to fill a block each hold it until the other
-        # has one, so that a helper surely runs a block
-        both_in = threading.Barrier(2, timeout=10)
-        ran = set()
-        fill_block = imb._fill_block
-
-        def fill(*args):
-            thread = threading.current_thread()
-            if thread not in ran:
-                ran.add(thread)
-                if len(ran) <= 2:
-                    both_in.wait()
-            fill_block(*args)
-
-        monkeypatch.setattr(imb, "_fill_block", fill)
+        ran = self._hold_first_blocks(monkeypatch)
         self._run(monkeypatch, 3)
         helpers = ran - {threading.current_thread()}
         assert helpers and not any(t.is_alive() for t in helpers)
@@ -490,7 +498,7 @@ class TestBlockedScan:
 
     def test_one_block_scan_starts_no_thread(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a one-block or tape-free scan started a thread")
+            raise AssertionError("a one-block or one-row scan started a thread")
 
         monkeypatch.setattr(imb, "_WORKERS", 2)
         monkeypatch.setattr(imb.threading, "Thread", refuse)
@@ -500,9 +508,34 @@ class TestBlockedScan:
         with Tape() as tape:
             loss = tsum(ssm_scan(params, x))
         backward(tape, loss)
-        # nor does the tape-free scan, at a row budget of one row per block
-        monkeypatch.setattr(tensor, "ROW_BLOCK_BYTES", 16 * 16 * 4 * 8)
+        # nor does a one-row tape-free scan, nor one of 8 rows on one worker
+        ssm_scan(params, Tensor(x.data[:1]))
+        monkeypatch.setattr(imb, "_WORKERS", 1)
         ssm_scan(params, Tensor(x.data))
+
+    def test_tape_free_scan_runs_its_rows_on_a_helper(self, monkeypatch, use_workers):
+        use_workers(1)
+        params, x, _ = self._inputs()
+        serial = ssm_scan(params, Tensor(x)).data
+        use_workers(2)
+        before = threading.active_count()
+        ran = self._hold_first_blocks(monkeypatch)
+        assert ssm_scan(params, Tensor(x)).data.tobytes() == serial.tobytes()
+        helpers = ran - {threading.current_thread()}
+        assert helpers and not any(t.is_alive() for t in helpers)
+        assert threading.active_count() == before
+
+    def test_a_tape_free_block_that_raises_propagates_its_error(self, monkeypatch, use_workers):
+        # x·B/A overflows in every row; each of the two threads runs a block
+        use_workers(2)
+        before = threading.active_count()
+        ran = self._hold_first_blocks(monkeypatch)
+        shape = (self.ROWS, self.TOKENS, self.DIM)
+        big = np.full(shape[:2] + (self.STATE,), 1e200)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            imb._scan(np.full(shape, 1e200), np.full(shape, 0.1), big, big, -np.ones((self.DIM, self.STATE)))
+        assert len(ran) == 2 and not any(t.is_alive() for t in ran - {threading.current_thread()})
+        assert threading.active_count() == before
 
     def test_helpers_run_under_the_callers_error_state(self, use_workers):
         use_workers(2)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from faim import imb
 from faim.data import SeriesDataset, make_synthetic_freq_dataset, make_synthetic_motion_dataset
 from faim.errors import ConfigError, InputError, NonFiniteError, ShapeError
 from faim.metrics import accuracy_and_macro_f1
@@ -16,6 +17,7 @@ from faim.tensor import Tape, Tensor, backward, parameter
 from faim.training import (
     REPORT_COLUMNS,
     TrainReport,
+    _logits,
     batch_label_smoothed_ce,
     evaluate,
     finetune,
@@ -345,6 +347,12 @@ class TestFinetune:
         for (_, a, _), (_, b, _) in zip(m1.layout, m2.layout):
             assert a.data.tobytes() == b.data.tobytes()
 
+    def test_one_class_rejected(self):
+        x = np.arange(6.0)[:, None, None] * np.ones((1, 16))
+        ds = SeriesDataset(x, np.zeros(6, dtype=np.int64), 1, {"0": 0})
+        with pytest.raises(InputError, match="finetune needs at least 2 classes, got 1"):
+            finetune(ds, tiny_config(finetune_epochs=1))
+
     def test_missing_class_warns(self):
         x = np.arange(6.0)[:, None, None] * np.ones((1, 16))
         ds = SeriesDataset(x, np.zeros(6, dtype=np.int64), 2, {"0": 0, "x": 1})
@@ -483,6 +491,15 @@ class TestRowBlocks:
         assert abs(got[0] - loss) < 1e-12
         assert got[1:] == (acc, f1)
         np.testing.assert_array_equal(predict_dataset(model, ds, batch_size=256), preds)
+
+    def test_logits_are_bitwise_equal_across_worker_counts(self, motion_model_and_set, monkeypatch):
+        # each row block's tape-free scans split their rows among the workers
+        model, ds = motion_model_and_set
+        logits = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(imb, "_WORKERS", workers)
+            logits.append(_logits(model, ds.x, 256).tobytes())
+        assert logits[1] == logits[0] and logits[2] == logits[0]
 
     def test_memory_is_bounded_by_the_row_block(self, motion_model_and_set):
         model, ds = motion_model_and_set
