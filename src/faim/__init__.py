@@ -6,7 +6,7 @@ seeded RNG, and optimizer.  See the README for the architecture tour and
 the command-line entry points.
 """
 
-from .model import FaimConfig, FaimModel, build_model, faim_forward, load_checkpoint, save_checkpoint
+from .model import FaimConfig, FaimModel, build_model, load_checkpoint, save_checkpoint
 from .tensor import Tape, Tensor, backward, parameter
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "Tensor",
     "backward",
     "build_model",
-    "faim_forward",
     "load_checkpoint",
     "parameter",
     "save_checkpoint",

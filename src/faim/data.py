@@ -88,7 +88,13 @@ def _remap_labels(raw_labels: list[str]) -> tuple[np.ndarray, dict[str, int]]:
 
 
 def load_univariate(path: str) -> SeriesDataset:
-    """Delimited text, one line per sample: label, then T values."""
+    """Delimited text, one line per sample: label, then T values.
+
+    Values parse with Python's ``float`` syntax (surrounding whitespace,
+    digit separators and ``inf``/``nan`` spellings included); the label is
+    stripped of surrounding whitespace.  A value that does not parse, or is
+    not finite, is an InputError naming its line, column and stripped token.
+    """
     with open_input(path) as fh:
         try:
             lines = [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip()]
@@ -100,22 +106,29 @@ def load_univariate(path: str) -> SeriesDataset:
     raw_labels: list[str] = []
     rows: list[np.ndarray] = []
     for line_no, line in lines:
-        tokens = [tok.strip() for tok in line.split(delimiter)]
+        tokens = line.split(delimiter)
         if len(tokens) < 2:
             raise InputError(f"{path} line {line_no}: need a label and at least one value")
-        raw_labels.append(tokens[0])
-        values = np.empty(len(tokens) - 1)
-        for col, tok in enumerate(tokens[1:], start=2):
-            try:
-                values[col - 2] = float(tok)
-            except ValueError:
-                raise InputError(
-                    f"{path} line {line_no}, column {col}: {tok!r} is not numeric"
-                ) from None
+        raw_labels.append(tokens[0].strip())
+        # numpy converts each string with Python's float(), so it accepts and
+        # rejects the same tokens; float() runs again only to name the culprit.
+        try:
+            values = np.array(tokens[1:], dtype=np.float64)
+        except ValueError:
+            for col, tok in enumerate(tokens[1:], start=2):
+                try:
+                    float(tok)
+                except ValueError:
+                    raise InputError(
+                        f"{path} line {line_no}, column {col}: {tok.strip()!r} is not numeric"
+                    ) from None
+            raise
         finite = np.isfinite(values)
         if not finite.all():
             col = int(np.argmin(finite)) + 2
-            raise InputError(f"{path} line {line_no}, column {col}: {tokens[col - 1]!r} is not finite")
+            raise InputError(
+                f"{path} line {line_no}, column {col}: {tokens[col - 1].strip()!r} is not finite"
+            )
         rows.append(values)
     t_max = max(row.shape[0] for row in rows)
     if any(row.shape[0] != t_max for row in rows):
@@ -258,7 +271,7 @@ def znormalize(
 
 def add_gaussian_noise(dataset: SeriesDataset, sigma: float, seed: int) -> SeriesDataset:
     """Additive seeded Gaussian noise; the source dataset is never mutated."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise InputError(f"noise sigma must be >= 0, got {sigma}")
     x = dataset.x.copy()
     if sigma > 0:
@@ -284,6 +297,8 @@ def make_synthetic_freq_dataset(
             raise InputError(f"frequency {f} is outside (0, {t / 2})")
     if len(freqs) < 2:
         raise InputError(f"need at least 2 classes, got {len(freqs)}")
+    if not snr_sigma >= 0:
+        raise InputError(f"noise sigma must be >= 0, got {snr_sigma}")
     rng = CounterRng(derive_seed(seed, "synth-freq"))
     grid = np.arange(t) / t
     y = np.repeat(np.arange(len(freqs)), n_per_class)
@@ -313,6 +328,8 @@ def make_synthetic_motion_dataset(
     """
     if n_classes < 2:
         raise InputError(f"need at least 2 classes, got {n_classes}")
+    if not snr_sigma >= 0:
+        raise InputError(f"noise sigma must be >= 0, got {snr_sigma}")
     grid = np.arange(t) / t
     base_freqs = 2.0 + 3.0 * np.arange(n_classes)
     structure = CounterRng(derive_seed("motion-structure"))

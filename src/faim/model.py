@@ -184,14 +184,14 @@ def n_patches_for(t: int, b: int, stride: int) -> int:
     return (padded_length(t, b, stride) - b) // stride + 1
 
 
-def build_model(config: FaimConfig, n_classes: int, n_channels: int, series_len: int) -> FaimModel:
+def _build(config: FaimConfig, n_classes: int, n_channels: int, series_len: int, rng) -> FaimModel:
+    """The model of ``build_model``, its initial values drawn from ``rng``."""
     if n_classes < 1:
         raise ConfigError(f"n_classes must be >= 1, got {n_classes}")
     if series_len < 1:
         raise InputError(f"series length must be >= 1, got {series_len}")
     b, stride, dim = config.patch_len, config.patch_stride, config.embed_dim
     z = n_patches_for(series_len, b, stride)
-    rng = CounterRng(derive_seed(config.seed, "model-init"))
     model = FaimModel(
         config=config,
         n_classes=n_classes,
@@ -239,6 +239,11 @@ def build_model(config: FaimConfig, n_classes: int, n_channels: int, series_len:
         model.layout.append((name, tensor, part))
         start = part.stop
     return model
+
+
+def build_model(config: FaimConfig, n_classes: int, n_channels: int, series_len: int) -> FaimModel:
+    rng = CounterRng(derive_seed(config.seed, "model-init"))
+    return _build(config, n_classes, n_channels, series_len, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +318,6 @@ def classify_batch(model: FaimModel, x) -> tuple[Tensor, None]:
     return linear(pooled, model.cls_w, model.cls_b), None
 
 
-def faim_forward(x, model: FaimModel) -> Tensor:
-    """Logits for one sample [channels, T] -> Tensor[n_classes]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"faim_forward expects [channels, T], got shape {x.shape}")
-    logits, _ = classify_batch(model, x[None])
-    return reshape(logits, (model.n_classes,))
-
-
 def reconstruct_forward(x, mask, model: FaimModel) -> Tensor:
     """Reconstructed patches [B, channels, Z, patch_len] from a masked batch
     [B, channels, T].
@@ -380,8 +376,26 @@ def save_checkpoint(model: FaimModel, path: str, meta: dict | None = None) -> No
     write_atomic(path, MAGIC + len(encoded).to_bytes(8, "little") + encoded + model.values.tobytes())
 
 
+class _NoDraws:
+    """Stands in for CounterRng where the values drawn will be overwritten:
+    every draw is a constant of the requested shape, so no stream is read."""
+
+    def normal(self, shape=(), mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+        return np.zeros(shape)
+
+    def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        return np.full(shape, low)
+
+    def spawn(self, *tags) -> "_NoDraws":
+        return self
+
+
 def load_checkpoint(path: str) -> tuple[FaimModel, dict]:
-    """Rebuild a model from a checkpoint; a damaged file raises InputError naming it."""
+    """Rebuild a model from a checkpoint; a damaged file raises InputError naming it.
+
+    The parameter layout is rebuilt from the header's config and geometry
+    without drawing an initialisation, then filled from the blob in one copy.
+    """
     with open_input(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(MAGIC)] != MAGIC:
@@ -398,7 +412,7 @@ def load_checkpoint(path: str) -> tuple[FaimModel, dict]:
         meta = header["meta"]
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path} has an unreadable header: {type(exc).__name__}: {exc}") from exc
-    model = build_model(config, *geometry)
+    model = _build(config, *geometry, _NoDraws())
     expected = [(name, tensor.shape, part.start) for name, tensor, part in model.layout]
     if len(manifest) != len(expected):
         raise InputError(

@@ -314,9 +314,16 @@ def finetune(
     """
     if len(dataset) == 0:
         raise InputError("cannot finetune on an empty dataset")
-    if dataset.n_classes < 2:
-        raise InputError(f"finetune needs at least 2 classes, got {dataset.n_classes}")
-    missing = set(range(dataset.n_classes)) - set(dataset.y.tolist())
+    # The label map can name classes the labels never use (an init model's
+    # map), so count the classes present.
+    present = sorted(set(dataset.y.tolist()))
+    if len(present) < 2:
+        names = {index: label for label, index in dataset.label_map.items()}
+        raise InputError(
+            f"finetune needs at least 2 classes, got {len(present)}: "
+            f"{[names.get(c, c) for c in present]}"
+        )
+    missing = set(range(dataset.n_classes)) - set(present)
     if missing:
         warnings.warn(f"classes {sorted(missing)} absent from the training labels")
     if val_dataset is None:

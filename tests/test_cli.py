@@ -378,6 +378,36 @@ class TestExitCodes:
         assert "finetune needs at least 2 classes, got 1" in capsys.readouterr().err
         assert not {"checkpoint", "report.csv", "summary"} & {p.name for p in (tmp_path / "f").iterdir()}
 
+    def test_finetune_rejects_one_present_class_under_a_two_class_init_map(self, tmp_path, capsys):
+        # The init model's label map gives the set 2 classes; its labels hold 1.
+        path = tmp_path / "one.tsv"
+        path.write_text("".join("a\t" + "\t".join(str(np.sin(i + k)) for k in range(16)) + "\n" for i in range(6)))
+        init = str(tmp_path / "init.ckpt")
+        model = build_model(FaimConfig(patch_len=4, embed_dim=8, n_layers=1, ssm_state=4), 2, 1, 16)
+        save_checkpoint(model, init, meta={"label_map": {"a": 0, "b": 1}})
+        rc = main(["finetune", "--run.dir", str(tmp_path), "--run.name", "f", "--data.train", str(path),
+                   "--finetune.init", init, *SMALL])
+        assert rc == 1
+        assert "finetune needs at least 2 classes, got 1: ['a']" in capsys.readouterr().err
+        assert not {"checkpoint", "report.csv", "summary"} & {p.name for p in (tmp_path / "f").iterdir()}
+
+    def test_synth_rejects_a_negative_sigma_before_writing(self, tmp_path, capsys):
+        rc = main(synth_args(tmp_path, "s") + ["--synth.sigma", "-1"])
+        assert rc == 1
+        assert "noise sigma must be >= 0, got -1.0" in capsys.readouterr().err
+        assert not {"train.tsv", "test.tsv"} & {p.name for p in (tmp_path / "s").iterdir()}
+
+    def test_noise_bench_rejects_a_nan_sigma(self, tmp_path, capsys):
+        assert main(synth_args(tmp_path, "synth")) == 0
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(FaimConfig(patch_len=4, embed_dim=8, n_layers=1, ssm_state=4), 2, 1, 16), str(path))
+        capsys.readouterr()
+        rc = main(["noise-bench", "--run.dir", str(tmp_path), "--run.name", "nb", "--eval.checkpoint", str(path),
+                   "--data.test", str(tmp_path / "synth" / "test.tsv"), "--noise.sigmas", "0.0,nan"])
+        assert rc == 1
+        assert "noise sigma must be >= 0, got nan" in capsys.readouterr().err
+        assert not {"report.csv", "summary"} & {p.name for p in (tmp_path / "nb").iterdir()}
+
     def test_lockfile_contention(self, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()

@@ -75,6 +75,32 @@ class TestLoadUnivariate:
         with pytest.raises(InputError, match=r"line 3, column 3: 'oops' is not numeric"):
             load_univariate(str(path))
 
+    @pytest.mark.parametrize(
+        "tok", [" 1.5 ", "1_0", "-0.0", "1e-320", "1e400", "\u0663", "", "0x10", "1,5", " 0x10 "]
+    )
+    def test_values_parse_as_python_float(self, tmp_path, tok):
+        path = tmp_path / "u.tsv"
+        path.write_text(f"a\t0.5\t{tok}\t2.0\n", encoding="utf-8")
+        try:
+            value = float(tok)
+        except ValueError:
+            with pytest.raises(InputError, match=f"line 1, column 3: {tok.strip()!r} is not numeric$"):
+                load_univariate(str(path))
+            return
+        if not np.isfinite(value):
+            with pytest.raises(InputError, match=f"line 1, column 3: {tok.strip()!r} is not finite$"):
+                load_univariate(str(path))
+            return
+        ds = load_univariate(str(path))
+        assert ds.x.tobytes() == np.array([0.5, value, 2.0]).tobytes()
+
+    @pytest.mark.parametrize("tok", [" 1e400 ", " -inf", "nan "])
+    def test_non_finite_value_names_column_and_stripped_token(self, tmp_path, tok):
+        path = tmp_path / "u.csv"
+        path.write_text(f"a,1.0,2.0\nb,3.0,{tok},4.0\n")
+        with pytest.raises(InputError, match=f"line 2, column 3: {tok.strip()!r} is not finite$"):
+            load_univariate(str(path))
+
     def test_label_only_line_rejected(self, tmp_path):
         path = tmp_path / "u.tsv"
         path.write_text("0\t1.0\n justalabel \n")
@@ -291,8 +317,9 @@ class TestAddGaussianNoise:
                 assert out.x[i, c].tobytes() == (ds.x[i, c] + 0.4 * draw).tobytes()
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(InputError, match="sigma"):
-            add_gaussian_noise(tiny_dataset(), -0.1, seed=0)
+        for sigma in (-0.1, float("nan")):
+            with pytest.raises(InputError, match=f"sigma must be >= 0, got {sigma}"):
+                add_gaussian_noise(tiny_dataset(), sigma, seed=0)
 
     def test_noise_scale_matches_sigma(self):
         ds = SeriesDataset(np.zeros((1, 1, 4096)), np.array([0]), 1)
@@ -329,6 +356,11 @@ class TestSyntheticFreqDataset:
     def test_one_class_rejected(self):
         with pytest.raises(InputError, match="need at least 2 classes, got 1"):
             make_synthetic_freq_dataset(5, 16, [3.0], 0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), -1.0])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(InputError, match=f"sigma must be >= 0, got {sigma}"):
+            make_synthetic_freq_dataset(2, 16, [2.0, 5.0], sigma, seed=0)
 
     def test_duplicate_frequencies_rejected(self):
         with pytest.raises(InputError, match="distinct"):
@@ -369,6 +401,11 @@ class TestSyntheticMotionDataset:
     def test_single_class_rejected(self):
         with pytest.raises(InputError, match="at least 2 classes"):
             make_synthetic_motion_dataset(2, 3, 50, 1, 0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), -1.0])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(InputError, match=f"sigma must be >= 0, got {sigma}"):
+            make_synthetic_motion_dataset(2, 3, 50, 2, sigma, seed=0)
 
 
 class TestAlignLabels:

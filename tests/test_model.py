@@ -17,7 +17,6 @@ from faim.model import (
     build_model,
     classify_batch,
     embed,
-    faim_forward,
     load_checkpoint,
     n_patches_for,
     padded_length,
@@ -27,6 +26,7 @@ from faim.model import (
 )
 from faim.nn import layer_norm, linear
 from faim.optim import AdamWState, adamw_step
+from faim.rng import CounterRng
 from faim.tensor import Tape, Tensor, backward, mul, reshape, tmean, tsum
 
 
@@ -117,18 +117,18 @@ class TestEmbed:
 class TestForward:
     def test_single_class_head_shape(self):
         model = build_model(tiny_config(), 1, 3, 20)
-        logits = faim_forward(np.random.default_rng(0).normal(size=(3, 20)), model)
-        assert logits.shape == (1,)
+        logits, _ = classify_batch(model, np.random.default_rng(0).normal(size=(1, 3, 20)))
+        assert logits.shape == (1, 1)
 
     def test_rank_contract(self):
         model = build_model(tiny_config(), 2, 1, 16)
         with pytest.raises(ShapeError):
-            faim_forward(np.zeros((1, 1, 16)), model)
+            classify_batch(model, np.zeros((1, 1, 1, 16)))
 
     def test_channel_count_enforced(self):
         model = build_model(tiny_config(), 2, 3, 16)
         with pytest.raises(ShapeError, match="with 3 channels, got shape \\(1, 2, 16\\)"):
-            faim_forward(np.zeros((2, 16)), model)
+            classify_batch(model, np.zeros((1, 2, 16)))
 
     def test_unbatched_input_to_classify_batch_rejected(self):
         # [channels, T] used to pass the channel check and fail inside numpy's reshape.
@@ -139,10 +139,10 @@ class TestForward:
     def test_channel_permutation_invariance(self):
         model = build_model(tiny_config(), 2, 4, 16)
         x = np.random.default_rng(2).normal(size=(4, 16))
-        base = faim_forward(x, model)
+        base, _ = classify_batch(model, x[None])
         for perm_seed in range(3):
             perm = np.random.default_rng(perm_seed).permutation(4)
-            permuted = faim_forward(x[perm], model)
+            permuted, _ = classify_batch(model, x[perm][None])
             np.testing.assert_allclose(permuted.data, base.data, atol=1e-12)
 
     def test_channel_independence(self):
@@ -154,8 +154,8 @@ class TestForward:
         for (_, a, _), (_, b, _) in zip(model.layout, twin.layout):
             np.testing.assert_array_equal(a.data, b.data)
         x = np.random.default_rng(3).normal(size=(3, 16))
-        full = faim_forward(x, model)
-        singles = [faim_forward(x[c : c + 1], twin).data for c in range(3)]
+        full, _ = classify_batch(model, x[None])
+        singles = [classify_batch(twin, x[None, c : c + 1])[0].data for c in range(3)]
         np.testing.assert_allclose(full.data, np.mean(singles, axis=0), atol=1e-12)
 
     def test_batch_matches_per_sample(self):
@@ -164,8 +164,8 @@ class TestForward:
         logits, _ = classify_batch(model, batch)
         assert logits.shape == (5, 3)
         for i in range(5):
-            single = faim_forward(batch[i], model)
-            np.testing.assert_allclose(logits.data[i], single.data, atol=1e-10)
+            single, _ = classify_batch(model, batch[i][None])
+            np.testing.assert_allclose(logits.data[i], single.data[0], atol=1e-10)
 
     def test_forwards_return_no_intermediates(self):
         model = build_model(tiny_config(), 2, 1, 16)
@@ -175,8 +175,8 @@ class TestForward:
         with Tape():
             _, second = classify_batch(model, x)
         assert second is None
-        logits = faim_forward(x[0], model)
-        assert isinstance(logits, Tensor) and logits.shape == (2,)
+        logits, _ = classify_batch(model, x[0][None])
+        assert isinstance(logits, Tensor) and logits.shape == (1, 2)
 
     def test_tape_free_block_peaks_under_16_token_spectra(self):
         # One 10-sample evaluation row block at the default geometry: 6
@@ -231,7 +231,7 @@ class TestForward:
         outs = []
         for _ in range(2):
             model = build_model(tiny_config(seed=9), 2, 2, 16)
-            logits = faim_forward(x, model)
+            logits, _ = classify_batch(model, x[None])
             outs.append(logits.data)
         assert outs[0].tobytes() == outs[1].tobytes()
 
@@ -318,19 +318,19 @@ class TestVariants:
     def test_no_afb_ignores_afb_parameters(self):
         model = build_model(tiny_config(variant="no_afb"), 2, 1, 16)
         x = np.random.default_rng(1).normal(size=(1, 16))
-        before = faim_forward(x, model)
+        before, _ = classify_batch(model, x[None])
         model.layers[0].afb.theta_high.data += 10.0
         model.layers[0].afb.psi_global.w2.data[:] = 7.0
-        after = faim_forward(x, model)
+        after, _ = classify_batch(model, x[None])
         np.testing.assert_array_equal(before.data, after.data)
 
     def test_no_imb_ignores_imb_parameters(self):
         model = build_model(tiny_config(variant="no_imb"), 2, 1, 16)
         x = np.random.default_rng(2).normal(size=(1, 16))
-        before = faim_forward(x, model)
+        before, _ = classify_batch(model, x[None])
         model.layers[0].imb.gate_w.data[:] = 5.0
         model.layers[0].imb.out_w.data[:] = -3.0
-        after = faim_forward(x, model)
+        after, _ = classify_batch(model, x[None])
         np.testing.assert_array_equal(before.data, after.data)
 
     def test_variants_change_the_function(self):
@@ -338,7 +338,7 @@ class TestVariants:
         outputs = {}
         for variant in ("full", "no_afb", "no_hf", "no_imb"):
             model = build_model(tiny_config(variant=variant, seed=4), 2, 1, 16)
-            logits = faim_forward(x, model)
+            logits, _ = classify_batch(model, x[None])
             outputs[variant] = logits.data
         assert np.max(np.abs(outputs["full"] - outputs["no_afb"])) > 1e-9
         assert np.max(np.abs(outputs["full"] - outputs["no_hf"])) > 1e-9
@@ -424,9 +424,24 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded, _ = load_checkpoint(path)
         x = np.random.default_rng(1).normal(size=(2, 16))
-        a = faim_forward(x, model)
-        b = faim_forward(x, loaded)
+        a, _ = classify_batch(model, x[None])
+        b, _ = classify_batch(loaded, x[None])
         assert a.data.tobytes() == b.data.tobytes()
+
+    def test_load_draws_no_initialisation(self, tmp_path, monkeypatch):
+        model = build_model(tiny_config(seed=7), 3, 2, 20)
+        model.values += np.random.default_rng(2).normal(size=model.values.shape)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, path)
+
+        def draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew from CounterRng")
+
+        monkeypatch.setattr(CounterRng, "normal", draw)
+        monkeypatch.setattr(CounterRng, "uniform", draw)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.values.tobytes() == model.values.tobytes()
+        assert [(n, t.shape, p) for n, t, p in loaded.layout] == [(n, t.shape, p) for n, t, p in model.layout]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

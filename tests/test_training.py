@@ -353,10 +353,16 @@ class TestFinetune:
         with pytest.raises(InputError, match="finetune needs at least 2 classes, got 1"):
             finetune(ds, tiny_config(finetune_epochs=1))
 
+    def test_one_present_class_rejected_under_a_larger_label_map(self):
+        x = np.arange(6.0)[:, None, None] * np.ones((1, 16))
+        ds = SeriesDataset(x, np.zeros(6, dtype=np.int64), 2, {"a": 0, "b": 1})
+        with pytest.raises(InputError, match=r"finetune needs at least 2 classes, got 1: \['a'\]"):
+            finetune(ds, tiny_config(finetune_epochs=1))
+
     def test_missing_class_warns(self):
         x = np.arange(6.0)[:, None, None] * np.ones((1, 16))
-        ds = SeriesDataset(x, np.zeros(6, dtype=np.int64), 2, {"0": 0, "x": 1})
-        with pytest.warns(UserWarning, match="absent"):
+        ds = SeriesDataset(x, np.repeat([0, 1], 3), 3, {"0": 0, "1": 1, "x": 2})
+        with pytest.warns(UserWarning, match=r"classes \[2\] absent"):
             finetune(ds, tiny_config(finetune_epochs=1), val_dataset=ds)
 
     def test_best_epoch_tracked(self):
